@@ -25,10 +25,11 @@ use crate::source::SourceFile;
 use crate::{Finding, HOT_PATH_FILES};
 
 /// The per-slot entry points the reachability walk starts from: one slot
-/// of simulated work in the timed controllers.
+/// of simulated work in the timed controller, and ρ's per-slot path
+/// selection.
 pub const ENTRY_POINTS: [(&str, &str); 2] = [
     ("crates/oram-ctrl/src/controller.rs", "process_slot"),
-    ("crates/oram-ctrl/src/rho.rs", "process_slot"),
+    ("crates/oram-ctrl/src/rho.rs", "issue"),
 ];
 
 /// Section-name prefix distinguishing reach budgets from per-file hot-path
@@ -246,8 +247,8 @@ mod tests {
             .collect()
     }
 
-    const ENTRY_A: &str = "impl Controller {\n    pub fn process_slot(&mut self) -> Result<(), E> {\n        helper_step(self.t);\n        Ok(())\n    }\n}\n";
-    const ENTRY_B: &str = "impl RhoController {\n    pub fn process_slot(&mut self) -> Result<(), E> { Ok(()) }\n}\n";
+    const ENTRY_A: &str = "impl TimedController {\n    pub fn process_slot(&mut self) -> Result<(), E> {\n        helper_step(self.t);\n        Ok(())\n    }\n}\n";
+    const ENTRY_B: &str = "impl RhoSource {\n    pub(crate) fn issue(&mut self) -> Result<Pick, E> { Ok(Pick::Idle) }\n}\n";
 
     #[test]
     fn reachable_helper_sites_are_inventoried() {

@@ -136,7 +136,7 @@ pub struct SystemConfig {
     /// (`0` is clamped to serial at the scheduler).
     #[serde(default)]
     pub sched_threads: u32,
-    /// Access-pipeline depth of the timed controllers (`1` = serial, the
+    /// Access-pipeline depth of the timed controller (`1` = serial, the
     /// default): how many path accesses may be in flight at once. At depth
     /// `k`, a slot's issue time is floored by the read completion of the
     /// access `k` slots back instead of the immediately preceding one, the

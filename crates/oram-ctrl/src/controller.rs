@@ -1,4 +1,11 @@
 //! The timed ORAM controller: fixed-rate path issue over the DRAM model.
+//!
+//! [`TimedController`] is the one slot engine for every scheme: pacing,
+//! DRAM scheduling, write deferral, faults, stash pressure, audit and slot
+//! accounting. It asks its [`PathSource`] which path each slot carries and
+//! on which tree: the single-tree source (below) serves every scheme but
+//! ρ; the ρ source ([`crate::rho`]) adds the small tree and the fixed
+//! 1 main : 2 small issue pattern.
 
 use std::collections::VecDeque;
 
@@ -12,6 +19,7 @@ use iroram_sim_engine::{
 
 use crate::audit::{AuditReport, AuditState};
 use crate::pipeline::{self, PipelineState, PipelineStats};
+use crate::rho::{RhoSource, SmallTree};
 use crate::{DwbEngine, SimError, SystemConfig};
 
 /// Identifier of an in-flight ORAM request.
@@ -81,41 +89,33 @@ pub struct StashPressure {
     pub throttled_admissions: u64,
 }
 
-#[derive(Debug)]
-enum Work {
-    /// A demand request: pending PosMap fetches, then the data path.
-    Request {
-        req: OramRequest,
-        pm: VecDeque<BlockAddr>,
-    },
-    /// A delayed-remap write-back: PosMap fetches, then a free stash insert.
-    DelayedWb {
-        addr: BlockAddr,
-        pm: VecDeque<BlockAddr>,
-    },
-}
-
-/// The timed Path ORAM controller for all single-tree schemes.
+/// The timed Path ORAM controller, for every scheme.
 ///
 /// Drives the functional protocol one path per slot, schedules each path's
 /// block reads/writes on the DRAM model (via the subtree layout), enforces
 /// the timing-channel discipline (a slot every `T` cycles, dummies when
-/// idle, every path identical in shape), and hosts the IR-DWB engine.
+/// idle, every path identical in shape), and hosts the IR-DWB engine. What
+/// each slot carries comes from its path source: the single-tree queues,
+/// or ρ's two trees and their fixed 1 main : 2 small pattern.
 #[derive(Debug)]
 pub struct TimedController {
-    /// The functional protocol instance.
+    /// The functional protocol instance (ρ's main tree).
     pub protocol: PathOram,
+    /// What each slot carries (crate-visible for the ρ unit tests).
+    pub(crate) source: PathSource,
     dram: DramSystem,
-    /// Precomputed path→line-address table over the memory-backed layout
-    /// (the layout is fixed at construction, so this never changes).
+    /// Precomputed path→line-address table over the main tree's
+    /// memory-backed layout (the layout is fixed at construction, so this
+    /// never changes).
     // lint: allow(snapshot-drift, precomputed from the layout at construction)
     path_table: PathTable,
     /// Reused request buffer for path read/write-back batches: filled from
-    /// `path_table` per path, rewritten in place for the write phase.
+    /// a path table per path, rewritten in place for the write phase.
     // lint: allow(snapshot-drift, per-call scratch, cleared before each use)
     reqs_buf: Vec<MemRequest>,
     /// Pipelined mode's deferred write-back batch (the read-priority write
-    /// buffer): slot `i`'s writes wait here until slot `i+1`'s read batch
+    /// buffer, shared by both of ρ's trees — the slot schedule is one
+    /// stream): slot `i`'s writes wait here until slot `i+1`'s read batch
     /// has been scheduled. Always empty at effective depth 1.
     write_buf: Vec<MemRequest>,
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
@@ -129,31 +129,32 @@ pub struct TimedController {
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     front_hit_lat: u64,
     next_slot: Cycle,
-    queue: VecDeque<OramRequest>,
-    wb_queue: VecDeque<BlockAddr>,
-    current: Option<Work>,
-    /// The k-deep access pipeline; `None` at effective depth 1, where the
-    /// serial code paths run verbatim (see [`crate::pipeline`]).
+    /// The k-deep access pipeline, shared across both of ρ's trees;
+    /// `None` at effective depth 1, where the serial code paths run
+    /// verbatim (see [`crate::pipeline`]).
     pipe: Option<PipelineState>,
     dwb: Option<DwbEngine>,
     completions: Vec<(ReqId, Cycle)>,
     slot_stats: SlotStats,
     last_write_done: Cycle,
+    /// Audit state. Oracle reads cover the main tree only: small-tree
+    /// slots are re-used by different data blocks, so their payloads carry
+    /// no oracle contract.
     audit: Option<Box<AuditState>>,
     /// Fault plan (None when every rate is zero — the common case).
     faults: Option<FaultPlan>,
     /// CPU cycles charged per detected-and-repaired corrupted bucket.
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     refetch_lat: u64,
-    /// Hard stash limit; staying over it past the bounded grace is a
-    /// transient `SimError`.
+    /// Hard limit on any tree's stash; staying over it past the bounded
+    /// grace is a transient `SimError`.
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     stash_hard_limit: usize,
     /// Degradation watermark (¾ of the hard limit): above it, new-work
     /// admission is throttled so background eviction can drain the stash.
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     degrade_watermark: usize,
-    /// Integrity detections already charged a re-fetch penalty.
+    /// Integrity detections (all trees) already charged a re-fetch penalty.
     seen_detected: u64,
     /// Total re-fetch penalty cycles charged so far.
     penalty_cycles: u64,
@@ -167,30 +168,54 @@ pub struct TimedController {
     degraded_slots: u64,
     /// Admissions deferred by the degradation throttle.
     throttled_admissions: u64,
-    /// Consecutive slots the stash has sat over the hard limit (the
+    /// Consecutive slots a stash has sat over the hard limit (the
     /// degradation grace counter; reset when it drains back under).
     overflow_grace: u64,
     slots_done: u64,
 }
 
+/// The protocol trees a controller drives: the main tree, then ρ's small
+/// tree.
+fn trees<'a>(main: &'a PathOram, source: &'a PathSource) -> impl Iterator<Item = &'a PathOram> {
+    std::iter::once(main).chain(source.small_tree().map(|s| &s.oram))
+}
+
+/// Folds a structural invariant sweep of every tree into the audit.
+fn note_structure(audit: &mut AuditState, main: &PathOram, source: &PathSource) {
+    audit.note_structural("main tree", main.check_invariants());
+    if let Some(small) = source.small_tree() {
+        audit.note_structural("small tree", small.oram.check_invariants());
+    }
+}
+
+/// The path table and DRAM line offset of the tree a path belongs to.
+fn table_of<'a>(
+    main: &'a PathTable,
+    source: &'a PathSource,
+    small_tree: bool,
+) -> (&'a PathTable, u64) {
+    match source.small_tree() {
+        Some(s) if small_tree => (&s.table, s.offset),
+        _ => (main, 0),
+    }
+}
+
 impl TimedController {
-    /// Builds the controller (protocol init included) for `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` requests the ρ scheme (use
-    /// [`crate::RhoController`]).
+    /// Builds the controller (protocol init included) for `cfg`. ρ gets
+    /// its main tree forced to delayed remapping plus a small tree (see
+    /// [`crate::rho`]).
     pub fn new(cfg: &SystemConfig) -> Self {
-        assert!(
-            !cfg.scheme.uses_rho(),
-            "TimedController does not implement ρ; use RhoController"
-        );
-        let protocol = PathOram::new(cfg.oram.clone());
+        let mut oram = cfg.oram.clone();
+        if cfg.scheme.uses_rho() {
+            oram.remap = RemapPolicy::Delayed;
+        }
+        let protocol = PathOram::new(oram);
         let cached = cfg.oram.treetop.cached_levels();
         let layout_mem = SubtreeLayout::new(
             &protocol.layout().memory_z(cached),
             cfg.subtree_group,
         );
+        let source = PathSource::new(cfg, layout_mem.total_lines());
         let path_table = layout_mem.path_table(0);
         let dwb = cfg
             .scheme
@@ -198,6 +223,7 @@ impl TimedController {
             .then(|| DwbEngine::new(cfg.seed ^ 0xD00D));
         TimedController {
             protocol,
+            source,
             dram: {
                 let mut d = DramSystem::new(cfg.dram);
                 d.set_sched_threads(cfg.sched_threads);
@@ -212,9 +238,6 @@ impl TimedController {
             decrypt_lat: cfg.decrypt_lat,
             front_hit_lat: cfg.front_hit_lat,
             next_slot: Cycle(cfg.t_interval),
-            queue: VecDeque::new(),
-            wb_queue: VecDeque::new(),
-            current: None,
             pipe: PipelineState::new(cfg.pipeline_depth),
             dwb,
             completions: Vec::new(),
@@ -242,16 +265,36 @@ impl TimedController {
         }
     }
 
+    /// Splits the controller into its path source and the engine state
+    /// the source works against.
+    fn split(&mut self) -> (&mut PathSource, Ctx<'_>) {
+        (
+            &mut self.source,
+            Ctx {
+                protocol: &mut self.protocol,
+                audit: self.audit.as_deref_mut(),
+                completions: &mut self.completions,
+                pipe: self.pipe.as_mut(),
+                front_hit_lat: self.front_hit_lat,
+            },
+        )
+    }
+
+    /// ρ's small-tree protocol (`None` for single-tree schemes).
+    pub fn small_protocol(&self) -> Option<&PathOram> {
+        self.source.small_tree().map(|s| &s.oram)
+    }
+
     /// The audit results so far (None unless `cfg.audit` was set).
     pub fn audit_report(&self) -> Option<AuditReport> {
         self.audit.as_ref().map(|a| a.report())
     }
 
-    /// End-of-run audit: a final whole-structure sweep plus IR-DWB
-    /// coherence. No-op when auditing is off.
+    /// End-of-run audit: a final whole-structure sweep of every tree plus
+    /// IR-DWB coherence. No-op when auditing is off.
     pub fn final_audit(&mut self, hierarchy: &MemoryHierarchy) {
         let Some(audit) = &mut self.audit else { return };
-        audit.note_structural("protocol", self.protocol.check_invariants());
+        note_structure(audit, &self.protocol, &self.source);
         if let Some(dwb) = &self.dwb {
             match dwb.check_coherence(hierarchy) {
                 Ok(()) => audit.passed(),
@@ -260,7 +303,7 @@ impl TimedController {
         }
     }
 
-    /// The DRAM system's statistics.
+    /// The DRAM system's statistics (shared by both of ρ's trees).
     pub fn dram_stats(&self) -> &iroram_dram::DramStats {
         self.dram.stats()
     }
@@ -281,9 +324,17 @@ impl TimedController {
     }
 
     /// Integrity-layer counters (injected / detected / recovered /
-    /// undetected corruptions in the tree).
+    /// undetected corruptions), summed over every tree.
     pub fn integrity_stats(&self) -> IntegrityStats {
-        self.protocol.integrity_stats()
+        trees(&self.protocol, &self.source).fold(IntegrityStats::default(), |a, t| {
+            let s = t.integrity_stats();
+            IntegrityStats {
+                injected: a.injected + s.injected,
+                detected: a.detected + s.detected,
+                recovered: a.recovered + s.recovered,
+                undetected: a.undetected + s.undetected,
+            }
+        })
     }
 
     /// Counters for faults the plan actually injected (zeros with no plan).
@@ -300,11 +351,14 @@ impl TimedController {
         self.penalty_cycles
     }
 
-    /// Stash soft-capacity pressure accounting.
+    /// Stash pressure: the main tree's soft capacity, and the occupancy
+    /// high-water mark over every tree's stash.
     pub fn stash_pressure(&self) -> StashPressure {
         StashPressure {
             soft_capacity: self.protocol.config().stash_capacity as u64,
-            max_occupancy: self.protocol.stash_peak() as u64,
+            max_occupancy: trees(&self.protocol, &self.source)
+                .map(PathOram::stash_peak)
+                .fold(0, usize::max) as u64,
             overflow_slots: self.overflow_slots,
             bg_escalations: self.bg_escalations,
             degraded_slots: self.degraded_slots,
@@ -318,34 +372,32 @@ impl TimedController {
         self.slots_done
     }
 
-    /// Pending request-queue depth (for CPU back-pressure).
+    /// Pending request-queue depth (for CPU back-pressure). ρ counts only
+    /// queued work, not the request in progress.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
+        self.source.queue_len()
     }
 
     /// Whether any real (non-dummy) work remains.
     pub fn has_real_work(&self) -> bool {
-        self.current.is_some()
-            || !self.queue.is_empty()
-            || !self.wb_queue.is_empty()
-            || self.protocol.bg_evict_pending()
+        self.source.has_work()
+            || trees(&self.protocol, &self.source).any(PathOram::bg_evict_pending)
     }
 
     /// Tries to serve an LLC miss from the on-chip front stores (F-Stash,
-    /// escrow, S-Stash). On a hit returns the completion time; the request
-    /// never consumes a path slot.
+    /// escrow, S-Stash; ρ's small-tree stash for its residents). On a hit
+    /// returns the completion time; the request never consumes a path
+    /// slot.
     pub fn front_try(&mut self, addr: BlockAddr, now: Cycle) -> Option<Cycle> {
-        let (_, payload) = self.protocol.front_access(addr, None)?;
-        if let Some(audit) = &mut self.audit {
-            audit.oracle_read(addr.0, payload);
-        }
-        Some(now + self.front_hit_lat)
+        let (source, mut cx) = self.split();
+        source.front_try(&mut cx, addr, now)
     }
 
     /// Submits a demand request (the caller should have tried
     /// [`TimedController::front_try`] first).
     pub fn submit(&mut self, req: OramRequest) {
-        self.queue.push_back(req);
+        let (source, mut cx) = self.split();
+        source.submit(&mut cx, req);
     }
 
     /// Notifies the controller of an LLC eviction. Dirty lines become write
@@ -355,36 +407,8 @@ impl TimedController {
         if let Some(dwb) = &mut self.dwb {
             dwb.on_eviction(addr);
         }
-        match self.protocol.config().remap {
-            RemapPolicy::Immediate => {
-                if dirty {
-                    // The ORAM write access; nobody waits on it. If the
-                    // block is still in an on-chip store, the write merges
-                    // for free.
-                    match self.protocol.front_access(addr, None) {
-                        Some((_, payload)) => {
-                            if let Some(audit) = &mut self.audit {
-                                audit.oracle_read(addr.0, payload);
-                            }
-                        }
-                        None => self.queue.push_back(OramRequest {
-                            id,
-                            addr,
-                            arrival: now,
-                            blocking: false,
-                        }),
-                    }
-                }
-            }
-            RemapPolicy::Delayed => {
-                // Clean or dirty: the block must re-enter the ORAM — unless
-                // it was never removed (it was served from S-Stash and still
-                // lives in the tree).
-                if self.protocol.is_escrowed(addr) {
-                    self.wb_queue.push_back(addr);
-                }
-            }
-        }
+        let (source, mut cx) = self.split();
+        source.on_llc_eviction(&mut cx, addr, dirty, now, id);
     }
 
     /// Drains accumulated request completions.
@@ -462,11 +486,12 @@ impl TimedController {
                 }
             }
             if audit.structural_due() {
-                audit.note_structural("protocol", self.protocol.check_invariants());
+                note_structure(audit, &self.protocol, &self.source);
             }
         }
         // Fault plan: one storm/corruption decision per slot, before any
         // protocol work (a corrupted bucket may sit on this very path).
+        // Corruption targets the main tree — ρ's off-chip bulk.
         self.storm_now = false;
         if let Some(plan) = &mut self.faults {
             self.storm_now = plan.storm_active();
@@ -474,18 +499,21 @@ impl TimedController {
                 self.inject_corruption(pick, mask);
             }
         }
-        // Stash pressure: sampled at slot boundaries. Over the degradation
-        // watermark (¾ of the hard limit), new-work admission is throttled
-        // so background eviction can drain the stash; over the hard limit
-        // itself a bounded grace of degraded slots runs before the typed
-        // transient error fires. Clean runs never cross the watermark, so
-        // the path below is byte-identical to the pre-degradation rule.
-        let occupancy = self.protocol.stash_len();
+        // Stash pressure: sampled at slot boundaries over every tree. Over
+        // the degradation watermark (¾ of the hard limit), new-work
+        // admission is throttled so background eviction can drain the
+        // stash; over the hard limit itself a bounded grace of degraded
+        // slots runs before the typed transient error fires. Clean runs
+        // never cross the watermark, so the path below is byte-identical
+        // to the pre-degradation rule.
+        let occupancy = trees(&self.protocol, &self.source)
+            .map(|t| t.stash_len())
+            .fold(0, usize::max);
         // lint: allow(secret-flow, overflow stats counter; occupancy never alters the issued DRAM schedule)
         if occupancy > self.protocol.config().stash_capacity {
             self.overflow_slots += 1;
         }
-        let pending = self.protocol.bg_evict_pending();
+        let pending = trees(&self.protocol, &self.source).any(PathOram::bg_evict_pending);
         if pending && !self.was_bg_pending {
             self.bg_escalations += 1;
         }
@@ -516,158 +544,25 @@ impl TimedController {
             || (degraded && !self.slots_done.is_multiple_of(DEGRADED_ADMIT_PERIOD));
         self.slots_done += 1;
         let t = self.next_slot;
-        let mut issued: Option<PathRecord> = None;
-        let mut completes: Option<ReqId> = None;
-
-        // Find the path for this slot; protocol steps that resolve on-chip
-        // consume no slot and we keep looking.
-        loop {
-            match self.current.take() {
-                Some(Work::Request { req, mut pm }) => {
-                    if let Some(pm_addr) = pm.pop_front() {
-                        let rec = {
-                            let _p = profiler::enter(profiler::Phase::PosMap);
-                            self.protocol.fetch_posmap_block(pm_addr)
-                        };
-                        if let Some(audit) = &mut self.audit {
-                            audit.oracle_read(pm_addr.0, rec.payload);
-                        }
-                        self.current = Some(Work::Request { req, pm });
-                        if let Some(&p) = rec.paths.first() {
-                            issued = Some(p);
-                            break;
-                        }
-                        continue; // PosMap block was on-chip
-                    }
-                    // Data phase. A duplicate request may find the block
-                    // already escrowed (fetched by an earlier request under
-                    // delayed remapping) or back on-chip — serve it for
-                    // free.
-                    if let Some((_, payload)) = self.protocol.front_access(req.addr, None) {
-                        if let Some(audit) = &mut self.audit {
-                            audit.oracle_read(req.addr.0, payload);
-                        }
-                        if req.blocking {
-                            self.completions.push((req.id, t + self.front_hit_lat));
-                        }
-                        continue;
-                    }
-                    let rec = {
-                        let _p = profiler::enter(profiler::Phase::Stash);
-                        self.protocol.data_access(req.addr, None)?
-                    };
-                    if let Some(audit) = &mut self.audit {
-                        audit.oracle_read(req.addr.0, rec.payload);
-                    }
-                    match rec.paths.first() {
-                        Some(&p) => {
-                            issued = Some(p);
-                            if req.blocking {
-                                completes = Some(req.id);
-                            }
-                            break;
-                        }
-                        None => {
-                            // Found on-chip (tree top / stash): complete now.
-                            if req.blocking {
-                                self.completions.push((req.id, t + self.front_hit_lat));
-                            }
-                            continue;
-                        }
-                    }
-                }
-                Some(Work::DelayedWb { addr, mut pm }) => {
-                    if let Some(pm_addr) = pm.pop_front() {
-                        let rec = {
-                            let _p = profiler::enter(profiler::Phase::PosMap);
-                            self.protocol.fetch_posmap_block(pm_addr)
-                        };
-                        if let Some(audit) = &mut self.audit {
-                            audit.oracle_read(pm_addr.0, rec.payload);
-                        }
-                        self.current = Some(Work::DelayedWb { addr, pm });
-                        if let Some(&p) = rec.paths.first() {
-                            issued = Some(p);
-                            break;
-                        }
-                        continue;
-                    }
-                    // The block may have been re-evicted (duplicate queue
-                    // entry) or already re-inserted; only escrowed blocks
-                    // re-enter.
-                    if self.protocol.is_escrowed(addr) {
-                        self.protocol.delayed_insert_block(addr)?;
-                    }
-                    continue;
-                }
-                None => {}
-            }
-            // Background eviction outranks new work: the stash must drain —
-            // unless a fault-injected storm is suppressing it.
-            if !self.storm_now && self.protocol.bg_evict_pending() {
-                issued = Some({
-                    let _p = profiler::enter(profiler::Phase::Stash);
-                    self.protocol.bg_evict_once()
-                });
-                self.slot_stats.bg_slots += 1;
-                self.slot_stats.total_slots += 1;
-                self.finish_path(t, issued.expect("just issued"), None);
-                return Ok(());
-            }
-            // Degraded mode: admission is throttled — eligible new work
-            // waits while background eviction (which already outranks
-            // admission) drains the stash back under the watermark.
-            // lint: allow(secret-flow, documented stash-pressure admission throttle; clean runs never cross the watermark (DESIGN.md))
-            if throttle {
-                if self.queue.front().is_some_and(|r| r.arrival <= t) || !self.wb_queue.is_empty()
-                {
-                    self.throttled_admissions += 1;
-                }
-                break;
-            }
-            // Start the next demand request that has arrived.
-            if self
-                .queue
-                .front()
-                .is_some_and(|r| r.arrival <= t)
-            {
-                let req = self.queue.pop_front().expect("checked front");
-                let _p = profiler::enter(profiler::Phase::PosMap);
-                let pm = match self.pipe.as_mut().and_then(|p| p.take_spec(req.addr)) {
-                    Some(pm) => pm,
-                    None => self.protocol.posmap_resolve(req.addr).into(),
-                };
-                // Pipelined: resolve the next queued request's PosMap chain
-                // speculatively, so its first path can issue the moment a
-                // slot frees.
-                if let Some(pipe) = &mut self.pipe {
-                    if !pipe.has_spec() {
-                        if let Some(next_addr) = self.queue.front().map(|r| r.addr) {
-                            let spec = self.protocol.posmap_resolve(next_addr).into();
-                            pipe.set_spec(next_addr, spec);
-                        }
-                    }
-                }
-                self.current = Some(Work::Request { req, pm });
-                continue;
-            }
-            // Delayed write-backs fill remaining capacity.
-            if let Some(addr) = self.wb_queue.pop_front() {
-                let _p = profiler::enter(profiler::Phase::PosMap);
-                let pm = self.protocol.posmap_resolve(addr).into();
-                self.current = Some(Work::DelayedWb { addr, pm });
-                continue;
-            }
-            break; // no real work eligible
-        }
-
-        match issued {
-            Some(path) => {
+        let storm = self.storm_now;
+        let (source, mut cx) = self.split();
+        // lint: allow(secret-flow, documented stash-pressure admission throttle; clean runs never cross the watermark (DESIGN.md))
+        match source.issue(&mut cx, t, throttle, storm)? {
+            Pick::Real(path, small_tree, completes) => {
                 self.slot_stats.total_slots += 1;
                 self.slot_stats.real_slots += 1;
-                self.finish_path(t, path, completes);
+                self.finish_path(t, path, small_tree, completes);
             }
-            None => {
+            Pick::Bg(path, small_tree) => {
+                self.slot_stats.total_slots += 1;
+                self.slot_stats.bg_slots += 1;
+                self.finish_path(t, path, small_tree, None);
+            }
+            Pick::Idle {
+                small_tree,
+                throttled,
+            } => {
+                self.throttled_admissions += u64::from(throttled);
                 // Idle slot: IR-DWB conversion, else a dummy.
                 if let Some(mut dwb) = self.dwb.take() {
                     let converted = dwb.try_convert(&mut self.protocol, hierarchy, t);
@@ -675,23 +570,25 @@ impl TimedController {
                     if let Some(path) = converted? {
                         self.slot_stats.total_slots += 1;
                         self.slot_stats.converted_slots += 1;
-                        self.finish_path(t, path, None);
+                        self.finish_path(t, path, false, None);
                         return Ok(());
                     }
                 }
                 if self.timing_protection {
                     let path = {
                         let _p = profiler::enter(profiler::Phase::Stash);
-                        self.protocol.dummy_path()
+                        match &mut self.source {
+                            PathSource::Rho(r) if small_tree => r.small.oram.dummy_path(),
+                            _ => self.protocol.dummy_path(),
+                        }
                     };
                     self.slot_stats.total_slots += 1;
                     self.slot_stats.dummy_slots += 1;
-                    self.finish_path(t, path, None);
+                    self.finish_path(t, path, small_tree, None);
                 } else {
                     // No fixed-rate discipline: skip ahead to the next work
                     // arrival (or one interval if nothing is pending).
-                    let next_arrival = self.queue.front().map(|r| r.arrival);
-                    self.next_slot = match next_arrival {
+                    self.next_slot = match self.source.next_arrival() {
                         Some(a) if a > t => a,
                         _ => t + self.t_interval,
                     };
@@ -701,8 +598,8 @@ impl TimedController {
         Ok(())
     }
 
-    /// Maps a fault-plan corruption draw onto one memory bucket slot and
-    /// flips its stored payload.
+    /// Maps a fault-plan corruption draw onto one main-tree memory bucket
+    /// slot and flips its stored payload.
     fn inject_corruption(&mut self, pick: u64, mask: u64) {
         let cached = self.protocol.config().treetop.cached_levels();
         let levels = self.protocol.config().levels;
@@ -744,7 +641,14 @@ impl TimedController {
     }
 
     /// Schedules the path's DRAM traffic and advances the slot clock.
-    fn finish_path(&mut self, t: Cycle, path: PathRecord, completes: Option<ReqId>) {
+    /// ρ's small-tree paths use the address region after the main tree.
+    fn finish_path(
+        &mut self,
+        t: Cycle,
+        path: PathRecord,
+        small_tree: bool,
+        completes: Option<ReqId>,
+    ) {
         let _phase = profiler::enter(profiler::Phase::DramSchedule);
         let req_before = self.dram.stats().requests;
         // Transient bank stall: the batch reaches the memory controller
@@ -755,28 +659,31 @@ impl TimedController {
         // Pipelined: a path sharing a memory bucket with the still-deferred
         // write batch must let that batch land first (write-before-read on
         // a shared bucket); one sharing with an older unretired in-flight
-        // path is held until its write-back retires. Either way the held
-        // path's blocks wait in the stash escrow / F-Stash meanwhile.
+        // path of the same tree is held until its write-back retires (ρ's
+        // trees occupy disjoint DRAM regions, so cross-tree paths never
+        // conflict). Either way the held path's blocks wait in the stash
+        // escrow / F-Stash meanwhile.
+        let (table, _) = table_of(&self.path_table, &self.source, small_tree);
         if self
             .pipe
             .as_mut()
             // lint: allow(secret-flow, leaf already revealed by this path access; the conflict check compares only public path addresses)
-            .is_some_and(|p| p.pending_conflicts(&self.path_table, path.leaf.0, false))
+            .is_some_and(|p| p.pending_conflicts(table, path.leaf.0, small_tree))
         {
             if let Some(done) = self.flush_writes() {
                 arrival = arrival.max(done);
             }
         }
+        let (table, offset) = table_of(&self.path_table, &self.source, small_tree);
         if let Some(pipe) = &mut self.pipe {
             // lint: allow(secret-flow, leaf already revealed by this path access; the hold compares only public path addresses)
-            if let Some(hold) = pipe.conflict_hold(&self.path_table, path.leaf.0, false, arrival) {
+            if let Some(hold) = pipe.conflict_hold(table, path.leaf.0, small_tree, arrival) {
                 arrival = hold;
             }
         }
         // Table fill into the reused buffer: the read batch, then the same
         // addresses rewritten in place as the write-back batch.
-        self.path_table
-            .fill_reads(path.leaf.0, 0, arrival, &mut self.reqs_buf);
+        table.fill_reads(path.leaf.0, offset, arrival, &mut self.reqs_buf);
         let lines = self.reqs_buf.len() as u64;
         let read_done = self.dram.schedule_batch_done(&self.reqs_buf, arrival);
         let write_done = if self.pipe.is_some() {
@@ -792,7 +699,7 @@ impl TimedController {
                 w
             }));
             if let Some(pipe) = &mut self.pipe {
-                pipe.stash_write(path.leaf.0, false, read_done);
+                pipe.stash_write(path.leaf.0, small_tree, read_done);
             }
             None
         } else {
@@ -803,10 +710,10 @@ impl TimedController {
             Some(self.dram.schedule_batch_done(&self.reqs_buf, read_done))
         };
         // Re-fetch penalty: every corruption this path's read phase detected
-        // and repaired stretches the read-phase completion — the public
-        // occupancy floor — so recovery is a measured timing cost, not a
-        // schedule violation.
-        let detected = self.protocol.integrity_stats().detected;
+        // and repaired (in any tree) stretches the read-phase completion —
+        // the public occupancy floor — so recovery is a measured timing
+        // cost, not a schedule violation.
+        let detected = self.integrity_stats().detected;
         let penalty = (detected - self.seen_detected) * self.refetch_lat;
         self.seen_detected = detected;
         self.penalty_cycles += penalty;
@@ -820,11 +727,17 @@ impl TimedController {
             self.completions.push((id, read_done_cpu));
         }
         if let Some(audit) = &mut self.audit {
-            let cached = self.protocol.config().treetop.cached_levels();
+            let expected = match self.source.small_tree() {
+                Some(s) if small_tree => s.oram.layout().path_len_memory(0),
+                _ => {
+                    let cached = self.protocol.config().treetop.cached_levels();
+                    self.protocol.layout().path_len_memory(cached)
+                }
+            };
             audit.note_slot(t, self.t_interval, read_floor_cpu, self.timing_protection);
             audit.check_conservation(
                 lines,
-                self.protocol.layout().path_len_memory(cached),
+                expected,
                 self.dram.stats().requests - req_before,
                 self.dram.latency_underflows(),
                 self.write_buf.len() as u64,
@@ -836,6 +749,7 @@ impl TimedController {
         // background and contends with the next path's reads via DRAM
         // bank/bus state. Pipelined, the floor comes from the access
         // `depth` slots back instead, so consecutive accesses overlap.
+        // Both of ρ's trees share the one schedule.
         self.next_slot = match &mut self.pipe {
             Some(pipe) => pipe.pace(t, self.t_interval, read_floor_cpu),
             None => (t + self.t_interval).max(read_floor_cpu),
@@ -845,10 +759,10 @@ impl TimedController {
     // -- Checkpointing ------------------------------------------------------
 
     /// Serializes the controller's complete logical state — protocol, DRAM
-    /// timing state, queues, in-flight work, pipeline, IR-DWB, audit, fault
-    /// plan, and every counter — for a checkpoint snapshot. Derived state
-    /// (the path table) and per-call scratch (`reqs_buf`) are rebuilt from
-    /// configuration instead.
+    /// timing state, pipeline, IR-DWB, audit, fault plan, every counter,
+    /// then the path source (queues, in-flight work, ρ's small tree) — for
+    /// a checkpoint snapshot. Derived state (the path tables) and per-call
+    /// scratch (`reqs_buf`) are rebuilt from configuration instead.
     pub fn save_state(&self, w: &mut SnapWriter) {
         self.protocol.save_state(w);
         self.dram.save_state(w);
@@ -859,24 +773,6 @@ impl TimedController {
             w.put_u64(r.arrival.0);
         }
         w.put_u64(self.next_slot.0);
-        save_req_queue(w, &self.queue);
-        w.put_usize(self.wb_queue.len());
-        for a in &self.wb_queue {
-            w.put_u64(a.0);
-        }
-        match &self.current {
-            None => w.put_u8(0),
-            Some(Work::Request { req, pm }) => {
-                w.put_u8(1);
-                save_req(w, req);
-                save_addr_deque(w, pm);
-            }
-            Some(Work::DelayedWb { addr, pm }) => {
-                w.put_u8(2);
-                w.put_u64(addr.0);
-                save_addr_deque(w, pm);
-            }
-        }
         match &self.pipe {
             None => w.put_u8(0),
             Some(p) => {
@@ -926,6 +822,7 @@ impl TimedController {
         w.put_u64(self.throttled_admissions);
         w.put_u64(self.overflow_grace);
         w.put_u64(self.slots_done);
+        self.source.save_state(w);
     }
 
     /// Restores state written by [`TimedController::save_state`] into a
@@ -934,8 +831,9 @@ impl TimedController {
     /// # Errors
     ///
     /// [`SnapError`] when the payload is malformed or was written by a
-    /// controller with a different configuration (pipeline/DWB/audit/fault
-    /// presence must match).
+    /// controller with a different configuration (scheme, pipeline, DWB,
+    /// audit and fault-plan presence, ρ's slot-table and reuse-filter
+    /// sizes must match).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.protocol.restore_state(r)?;
         self.dram.restore_state(r)?;
@@ -952,26 +850,6 @@ impl TimedController {
             });
         }
         self.next_slot = Cycle(r.take_u64()?);
-        self.queue = restore_req_queue(r)?;
-        let n = r.take_seq_len(8)?;
-        self.wb_queue.clear();
-        for _ in 0..n {
-            self.wb_queue.push_back(BlockAddr(r.take_u64()?));
-        }
-        self.current = match r.take_u8()? {
-            0 => None,
-            1 => {
-                let req = restore_req(r)?;
-                let pm = restore_addr_deque(r)?;
-                Some(Work::Request { req, pm })
-            }
-            2 => {
-                let addr = BlockAddr(r.take_u64()?);
-                let pm = restore_addr_deque(r)?;
-                Some(Work::DelayedWb { addr, pm })
-            }
-            _ => return Err(SnapError::Corrupt("bad current-work tag")),
-        };
         match (r.take_u8()?, &mut self.pipe) {
             (0, None) => {}
             (1, Some(p)) => p.restore_state(r)?,
@@ -1015,7 +893,453 @@ impl TimedController {
         self.throttled_admissions = r.take_u64()?;
         self.overflow_grace = r.take_u64()?;
         self.slots_done = r.take_u64()?;
+        self.source.restore_state(r)
+    }
+}
+
+// -- Path sources -----------------------------------------------------------
+
+/// Picks each slot's path: the single-tree queues or ρ's two trees.
+#[derive(Debug)]
+pub(crate) enum PathSource {
+    /// Every scheme except ρ.
+    Single(SingleTree),
+    /// ρ (boxed: it embeds the whole small tree).
+    Rho(Box<RhoSource>),
+}
+
+impl PathSource {
+    /// The source for `cfg`; `small_offset` is the first DRAM line after
+    /// the main tree's region (where ρ's small tree lives).
+    fn new(cfg: &SystemConfig, small_offset: u64) -> Self {
+        if cfg.scheme.uses_rho() {
+            PathSource::Rho(Box::new(RhoSource::new(cfg, small_offset)))
+        } else {
+            PathSource::Single(SingleTree::default())
+        }
+    }
+
+    /// ρ's small tree, if this source has one.
+    fn small_tree(&self) -> Option<&SmallTree> {
+        match self {
+            PathSource::Single(_) => None,
+            PathSource::Rho(r) => Some(&r.small),
+        }
+    }
+
+    /// Tries to serve an LLC miss from the on-chip front stores.
+    fn front_try(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        addr: BlockAddr,
+        now: Cycle,
+    ) -> Option<Cycle> {
+        match self {
+            PathSource::Single(_) => cx.front_try(addr, now),
+            PathSource::Rho(r) => r.front_try(cx, addr, now),
+        }
+    }
+
+    /// Queues a demand request.
+    fn submit(&mut self, cx: &mut Ctx<'_>, req: OramRequest) {
+        match self {
+            PathSource::Single(s) => s.queue.push_back(req),
+            PathSource::Rho(r) => r.submit(cx, req),
+        }
+    }
+
+    /// Turns an LLC eviction into the write-back work it implies.
+    fn on_llc_eviction(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        addr: BlockAddr,
+        dirty: bool,
+        now: Cycle,
+        id: ReqId,
+    ) {
+        match self {
+            PathSource::Single(s) => s.on_llc_eviction(cx, addr, dirty, now, id),
+            PathSource::Rho(r) => r.on_llc_eviction(cx, addr, dirty, now),
+        }
+    }
+
+    /// Pending queue depth (for CPU back-pressure). The single-tree count
+    /// includes the request in progress; ρ's counts only its two queues.
+    fn queue_len(&self) -> usize {
+        match self {
+            PathSource::Single(s) => s.queue.len() + usize::from(s.current.is_some()),
+            PathSource::Rho(r) => r.queue_len(),
+        }
+    }
+
+    /// Whether queued or in-progress work remains (background eviction is
+    /// the engine's to check).
+    fn has_work(&self) -> bool {
+        match self {
+            PathSource::Single(s) => {
+                s.current.is_some() || !s.queue.is_empty() || !s.wb_queue.is_empty()
+            }
+            PathSource::Rho(r) => r.has_work(),
+        }
+    }
+
+    /// Where an idle, unprotected slot's clock goes: the next queued
+    /// arrival. ρ's fixed pattern always steps one interval instead.
+    fn next_arrival(&self) -> Option<Cycle> {
+        match self {
+            PathSource::Single(s) => s.queue.front().map(|r| r.arrival),
+            PathSource::Rho(_) => None,
+        }
+    }
+
+    /// Picks the path the slot issuing at `t` carries. `throttle` is the
+    /// degradation admission gate; `storm` suppresses background eviction.
+    fn issue(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        t: Cycle,
+        throttle: bool,
+        storm: bool,
+    ) -> Result<Pick, SimError> {
+        match self {
+            PathSource::Single(s) => s.issue(cx, t, throttle, storm),
+            PathSource::Rho(r) => r.issue(cx, t, throttle, storm),
+        }
+    }
+
+    /// Serializes the source (variant tag, then its state).
+    fn save_state(&self, w: &mut SnapWriter) {
+        match self {
+            PathSource::Single(s) => {
+                w.put_u8(0);
+                s.save_state(w);
+            }
+            PathSource::Rho(r) => {
+                w.put_u8(1);
+                r.save_state(w);
+            }
+        }
+    }
+
+    /// Restores state written by [`PathSource::save_state`] into a source
+    /// freshly built for the same configuration.
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match (r.take_u8()?, self) {
+            (0, PathSource::Single(s)) => s.restore_state(r),
+            (1, PathSource::Rho(rho)) => rho.restore_state(r),
+            _ => Err(SnapError::Corrupt("path-source variant mismatch")),
+        }
+    }
+}
+
+/// The engine state a path source reads and writes while it serves a
+/// request or picks a slot's path.
+pub(crate) struct Ctx<'a> {
+    /// The main tree.
+    pub(crate) protocol: &'a mut PathOram,
+    pub(crate) audit: Option<&'a mut AuditState>,
+    pub(crate) completions: &'a mut Vec<(ReqId, Cycle)>,
+    pub(crate) pipe: Option<&'a mut PipelineState>,
+    pub(crate) front_hit_lat: u64,
+}
+
+impl Ctx<'_> {
+    /// Checks a main-tree serve against the functional oracle (audit on).
+    fn oracle_read(&mut self, addr: BlockAddr, payload: u64) {
+        if let Some(audit) = &mut self.audit {
+            audit.oracle_read(addr.0, payload);
+        }
+    }
+
+    /// Serves `addr` from the main tree's on-chip stores, if it is there;
+    /// the completion time of a request arriving at `now`.
+    pub(crate) fn front_try(&mut self, addr: BlockAddr, now: Cycle) -> Option<Cycle> {
+        let (_, payload) = self.protocol.front_access(addr, None)?;
+        self.oracle_read(addr, payload);
+        Some(now + self.front_hit_lat)
+    }
+
+    /// Completes request `id`, served on-chip during the slot at `t`.
+    pub(crate) fn complete_on_chip(&mut self, id: ReqId, t: Cycle) {
+        self.completions.push((id, t + self.front_hit_lat));
+    }
+
+    /// Fetches one main-tree PosMap block; the path it needs, or `None`
+    /// when the block was on-chip.
+    pub(crate) fn fetch_posmap(&mut self, pm_addr: BlockAddr) -> Option<PathRecord> {
+        let rec = {
+            let _p = profiler::enter(profiler::Phase::PosMap);
+            self.protocol.fetch_posmap_block(pm_addr)
+        };
+        self.oracle_read(pm_addr, rec.payload);
+        rec.paths.first().copied()
+    }
+
+    /// The main-tree data access for `addr`; its path, or `None` when the
+    /// block was found on-chip (tree top / stash).
+    pub(crate) fn data_access(&mut self, addr: BlockAddr) -> Result<Option<PathRecord>, SimError> {
+        let rec = {
+            let _p = profiler::enter(profiler::Phase::Stash);
+            self.protocol.data_access(addr, None)?
+        };
+        self.oracle_read(addr, rec.payload);
+        Ok(rec.paths.first().copied())
+    }
+}
+
+/// What the path source chose for one slot.
+#[derive(Debug)]
+pub(crate) enum Pick {
+    /// A path carrying real work (PosMap, data, write-back or install):
+    /// the path, whether it is on ρ's small tree, and the request whose
+    /// data it returns.
+    Real(PathRecord, bool, Option<ReqId>),
+    /// A background-eviction path, and whether it is on ρ's small tree.
+    Bg(PathRecord, bool),
+    /// Nothing eligible: the slot idles, as a dummy on the given tree under
+    /// timing protection. `throttled` is set when the degradation gate
+    /// deferred work that was ready.
+    Idle { small_tree: bool, throttled: bool },
+}
+
+/// Main-tree work in progress: pending PosMap fetches, then a final step.
+#[derive(Debug)]
+pub(crate) enum Work {
+    /// A demand request (or a dirty eviction's write access). ρ installs
+    /// the block into its small tree when `install` is set.
+    Request {
+        req: OramRequest,
+        pm: VecDeque<BlockAddr>,
+        install: bool,
+    },
+    /// A delayed-remap write-back: a free stash insert once the PosMap
+    /// chain is fetched.
+    Wb {
+        addr: BlockAddr,
+        pm: VecDeque<BlockAddr>,
+    },
+}
+
+impl Work {
+    pub(crate) fn pm_mut(&mut self) -> &mut VecDeque<BlockAddr> {
+        match self {
+            Work::Request { pm, .. } | Work::Wb { pm, .. } => pm,
+        }
+    }
+}
+
+/// A write-back's final step: only escrowed blocks re-enter the tree (the
+/// block may have been re-evicted or already re-inserted).
+pub(crate) fn finish_wb(cx: &mut Ctx<'_>, addr: BlockAddr) -> Result<(), SimError> {
+    if cx.protocol.is_escrowed(addr) {
+        cx.protocol.delayed_insert_block(addr)?;
+    }
+    Ok(())
+}
+
+/// The single-tree source: demand and delayed-write-back queues plus
+/// speculative PosMap resolution.
+#[derive(Debug, Default)]
+pub(crate) struct SingleTree {
+    queue: VecDeque<OramRequest>,
+    wb_queue: VecDeque<BlockAddr>,
+    current: Option<Work>,
+}
+
+impl SingleTree {
+    fn on_llc_eviction(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        addr: BlockAddr,
+        dirty: bool,
+        now: Cycle,
+        id: ReqId,
+    ) {
+        match cx.protocol.config().remap {
+            RemapPolicy::Immediate => {
+                if dirty {
+                    // The ORAM write access; nobody waits on it. If the
+                    // block is still in an on-chip store, the write merges
+                    // for free.
+                    match cx.protocol.front_access(addr, None) {
+                        Some((_, payload)) => cx.oracle_read(addr, payload),
+                        None => self.queue.push_back(OramRequest {
+                            id,
+                            addr,
+                            arrival: now,
+                            blocking: false,
+                        }),
+                    }
+                }
+            }
+            RemapPolicy::Delayed => {
+                // Clean or dirty: the block must re-enter the ORAM — unless
+                // it was never removed (it was served from S-Stash and still
+                // lives in the tree).
+                if cx.protocol.is_escrowed(addr) {
+                    self.wb_queue.push_back(addr);
+                }
+            }
+        }
+    }
+
+    fn issue(
+        &mut self,
+        cx: &mut Ctx<'_>,
+        t: Cycle,
+        throttle: bool,
+        storm: bool,
+    ) -> Result<Pick, SimError> {
+        // Protocol steps that resolve on-chip consume no slot; keep looking.
+        loop {
+            if let Some(mut work) = self.current.take() {
+                if let Some(pm_addr) = work.pm_mut().pop_front() {
+                    let path = cx.fetch_posmap(pm_addr);
+                    self.current = Some(work);
+                    if let Some(path) = path {
+                        return Ok(Pick::Real(path, false, None));
+                    }
+                    continue; // PosMap block was on-chip
+                }
+                match work {
+                    Work::Request { req, .. } => {
+                        // Data phase. A duplicate request may find the
+                        // block already escrowed (fetched by an earlier
+                        // request under delayed remapping) or back on-chip
+                        // — serve it for free.
+                        if let Some((_, payload)) = cx.protocol.front_access(req.addr, None) {
+                            cx.oracle_read(req.addr, payload);
+                            if req.blocking {
+                                cx.complete_on_chip(req.id, t);
+                            }
+                            continue;
+                        }
+                        let completes = req.blocking.then_some(req.id);
+                        match cx.data_access(req.addr)? {
+                            Some(path) => return Ok(Pick::Real(path, false, completes)),
+                            // Found on-chip (tree top / stash): complete now.
+                            None => {
+                                if let Some(id) = completes {
+                                    cx.complete_on_chip(id, t);
+                                }
+                            }
+                        }
+                    }
+                    Work::Wb { addr, .. } => finish_wb(cx, addr)?,
+                }
+                continue;
+            }
+            // Background eviction outranks new work: the stash must drain —
+            // unless a fault-injected storm is suppressing it.
+            if !storm && cx.protocol.bg_evict_pending() {
+                let _p = profiler::enter(profiler::Phase::Stash);
+                return Ok(Pick::Bg(cx.protocol.bg_evict_once(), false));
+            }
+            let ready = self.queue.front().copied().filter(|r| r.arrival <= t);
+            // Degraded mode: admission is throttled — eligible new work
+            // waits while background eviction (which already outranks
+            // admission) drains the stash.
+            if throttle {
+                return Ok(Pick::Idle {
+                    small_tree: false,
+                    throttled: ready.is_some() || !self.wb_queue.is_empty(),
+                });
+            }
+            // Start the next demand request that has arrived.
+            if let Some(req) = ready {
+                self.queue.pop_front();
+                let _p = profiler::enter(profiler::Phase::PosMap);
+                let pm = match cx.pipe.as_deref_mut().and_then(|p| p.take_spec(req.addr)) {
+                    Some(pm) => pm,
+                    None => cx.protocol.posmap_resolve(req.addr).into(),
+                };
+                // Pipelined: resolve the next queued request's PosMap chain
+                // speculatively, so its first path can issue the moment a
+                // slot frees.
+                if let Some(pipe) = cx.pipe.as_deref_mut() {
+                    if !pipe.has_spec() {
+                        if let Some(next_addr) = self.queue.front().map(|r| r.addr) {
+                            let spec = cx.protocol.posmap_resolve(next_addr).into();
+                            pipe.set_spec(next_addr, spec);
+                        }
+                    }
+                }
+                self.current = Some(Work::Request {
+                    req,
+                    pm,
+                    install: false,
+                });
+                continue;
+            }
+            // Delayed write-backs fill remaining capacity.
+            if let Some(addr) = self.wb_queue.pop_front() {
+                let _p = profiler::enter(profiler::Phase::PosMap);
+                let pm = cx.protocol.posmap_resolve(addr).into();
+                self.current = Some(Work::Wb { addr, pm });
+                continue;
+            }
+            return Ok(Pick::Idle {
+                small_tree: false,
+                throttled: false,
+            });
+        }
+    }
+
+    fn save_state(&self, w: &mut SnapWriter) {
+        save_req_queue(w, &self.queue);
+        w.put_usize(self.wb_queue.len());
+        for a in &self.wb_queue {
+            w.put_u64(a.0);
+        }
+        save_work(w, self.current.as_ref());
+    }
+
+    fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.queue = restore_req_queue(r)?;
+        let n = r.take_seq_len(8)?;
+        self.wb_queue.clear();
+        for _ in 0..n {
+            self.wb_queue.push_back(BlockAddr(r.take_u64()?));
+        }
+        self.current = restore_work(r)?;
         Ok(())
+    }
+}
+
+/// Serializes an optional [`Work`] item (tag 0 = none).
+pub(crate) fn save_work(w: &mut SnapWriter, work: Option<&Work>) {
+    match work {
+        None => w.put_u8(0),
+        Some(Work::Request { req, pm, install }) => {
+            w.put_u8(1);
+            save_req(w, req);
+            save_addr_deque(w, pm);
+            w.put_bool(*install);
+        }
+        Some(Work::Wb { addr, pm }) => {
+            w.put_u8(2);
+            w.put_u64(addr.0);
+            save_addr_deque(w, pm);
+        }
+    }
+}
+
+/// Restores an item written by [`save_work`].
+pub(crate) fn restore_work(r: &mut SnapReader<'_>) -> Result<Option<Work>, SnapError> {
+    match r.take_u8()? {
+        0 => Ok(None),
+        1 => {
+            let req = restore_req(r)?;
+            let pm = restore_addr_deque(r)?;
+            let install = r.take_bool()?;
+            Ok(Some(Work::Request { req, pm, install }))
+        }
+        2 => {
+            let addr = BlockAddr(r.take_u64()?);
+            let pm = restore_addr_deque(r)?;
+            Ok(Some(Work::Wb { addr, pm }))
+        }
+        _ => Err(SnapError::Corrupt("bad work tag")),
     }
 }
 

@@ -1,6 +1,6 @@
 //! Typed simulation errors.
 //!
-//! The timed controllers and the simulation loop report recoverable failure
+//! The timed controller and the simulation loop report recoverable failure
 //! conditions as [`SimError`] values instead of panicking, so a harness
 //! driving many cells in parallel can classify, retry, or skip a failed
 //! cell without poisoning its worker pool. Path ORAM treats stash overflow

@@ -56,5 +56,8 @@ pub use cpu::TraceCpu;
 pub use dwb::{DwbEngine, DwbStats};
 pub use error::SimError;
 pub use iroram_protocol::IntegrityStats;
-pub use rho::RhoController;
-pub use sim::{Backend, CheckpointSpec, FaultStats, RunLimit, SimReport, Simulation};
+pub use sim::{CheckpointSpec, FaultStats, RunLimit, SimReport, Simulation};
+
+/// The ρ controller is the one [`TimedController`], built from a ρ
+/// configuration; the name stays because the benchmark harness imports it.
+pub type RhoController = TimedController;

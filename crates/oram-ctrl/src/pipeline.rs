@@ -1,6 +1,6 @@
-//! The k-deep access pipeline of the timed controllers.
+//! The k-deep access pipeline of the timed controller.
 //!
-//! The serial controllers issue one path access at a time: each slot's
+//! The serial controller issues one path access at a time: each slot's
 //! issue time is floored at the previous access's read completion
 //! (`next_slot = (t + T).max(read_floor)`). With
 //! [`SystemConfig::pipeline_depth`](crate::SystemConfig) `= k > 1`, up to
@@ -37,7 +37,7 @@
 //!   path can issue the moment a slot frees. A mismatch (the speculated
 //!   request was served on-chip meanwhile) discards the cached resolution.
 //!
-//! Depth 1 (the default) takes none of these paths: the controllers keep
+//! Depth 1 (the default) takes none of these paths: the controller keeps
 //! the verbatim serial assignment, which is what makes depth-1 reports
 //! byte-identical to pre-pipeline builds. The [`serial`] switch forces
 //! depth 1 regardless of configuration — the reference twin used by the
@@ -55,7 +55,7 @@ struct InFlightPath {
     /// Leaf of the path (within its tree).
     leaf: u64,
     /// Which tree the path belongs to (ρ's small tree vs main; always
-    /// `false` for the single-tree controller). Paths in different trees
+    /// `false` for single-tree schemes). Paths in different trees
     /// occupy disjoint DRAM regions and never conflict.
     small_tree: bool,
     /// DRAM-clock time the path's write phase retires.
@@ -92,8 +92,8 @@ pub struct PipelineStats {
     pub deferred_writes: u64,
 }
 
-/// Pipeline state of one timed controller. Exists only at effective depth
-/// ≥ 2 — depth-1 controllers carry `None` and run the untouched serial
+/// Pipeline state of the timed controller. Exists only at effective depth
+/// ≥ 2 — a depth-1 controller carries `None` and runs the untouched serial
 /// code path.
 #[derive(Debug)]
 pub struct PipelineState {

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use iroram_cache::{AccessOutcome, HierarchyStats, MemoryHierarchy};
 use iroram_dram::DramStats;
-use iroram_protocol::{BlockAddr, IntegrityStats, ProtocolStats};
+use iroram_protocol::{BlockAddr, ProtocolStats};
 use iroram_sim_engine::{
     checkpoint, profiler, Cycle, FaultPlan, SnapError, SnapReader, SnapWriter,
 };
@@ -16,10 +16,7 @@ use crate::audit::AuditReport;
 use crate::controller::StashPressure;
 use crate::cpu::IssueCheck;
 use crate::dwb::DwbStats;
-use crate::{
-    OramRequest, RhoController, Scheme, SimError, SlotStats, SystemConfig, TimedController,
-    TraceCpu,
-};
+use crate::{OramRequest, Scheme, SimError, SlotStats, SystemConfig, TimedController, TraceCpu};
 
 /// Demand-queue depth at which the core stalls (miss-queue back-pressure).
 const MAX_QUEUE: usize = 16;
@@ -49,170 +46,6 @@ impl RunLimit {
     /// Run for `n` memory operations.
     pub fn mem_ops(n: u64) -> Self {
         RunLimit { mem_ops: n }
-    }
-}
-
-/// The scheme-appropriate timed backend.
-#[derive(Debug)]
-pub enum Backend {
-    /// Single-tree controller (everything except ρ).
-    Single(Box<TimedController>),
-    /// The dual-tree ρ controller (boxed: it embeds two full protocol
-    /// instances and dwarfs the single-tree variant).
-    Rho(Box<RhoController>),
-}
-
-macro_rules! delegate {
-    ($self:ident, $b:ident => $e:expr) => {
-        match $self {
-            Backend::Single($b) => $e,
-            Backend::Rho($b) => $e,
-        }
-    };
-}
-
-impl Backend {
-    /// Builds the backend for `cfg`.
-    pub fn new(cfg: &SystemConfig) -> Self {
-        if cfg.scheme.uses_rho() {
-            Backend::Rho(Box::new(RhoController::new(cfg)))
-        } else {
-            Backend::Single(Box::new(TimedController::new(cfg)))
-        }
-    }
-
-    fn front_try(&mut self, addr: BlockAddr, now: Cycle) -> Option<Cycle> {
-        delegate!(self, b => b.front_try(addr, now))
-    }
-
-    fn submit(&mut self, req: OramRequest) {
-        delegate!(self, b => b.submit(req))
-    }
-
-    fn on_llc_eviction(&mut self, addr: BlockAddr, dirty: bool, now: Cycle, id: u64) {
-        delegate!(self, b => b.on_llc_eviction(addr, dirty, now, id))
-    }
-
-    fn take_completions(&mut self) -> Vec<(u64, Cycle)> {
-        delegate!(self, b => b.take_completions())
-    }
-
-    fn advance_until(&mut self, now: Cycle, h: &mut MemoryHierarchy) -> Result<(), SimError> {
-        delegate!(self, b => b.advance_until(now, h))
-    }
-
-    fn advance_until_complete(
-        &mut self,
-        id: u64,
-        h: &mut MemoryHierarchy,
-    ) -> Result<Cycle, SimError> {
-        delegate!(self, b => b.advance_until_complete(id, h))
-    }
-
-    fn advance_until_queue_below(
-        &mut self,
-        limit: usize,
-        h: &mut MemoryHierarchy,
-    ) -> Result<Cycle, SimError> {
-        delegate!(self, b => b.advance_until_queue_below(limit, h))
-    }
-
-    fn drain(&mut self, h: &mut MemoryHierarchy) -> Result<Cycle, SimError> {
-        delegate!(self, b => b.drain(h))
-    }
-
-    fn integrity_stats(&self) -> IntegrityStats {
-        delegate!(self, b => b.integrity_stats())
-    }
-
-    fn fault_injected(&self) -> iroram_sim_engine::InjectedFaults {
-        delegate!(self, b => b.fault_injected())
-    }
-
-    fn refetch_penalty_cycles(&self) -> u64 {
-        delegate!(self, b => b.refetch_penalty_cycles())
-    }
-
-    fn stash_pressure(&self) -> StashPressure {
-        delegate!(self, b => b.stash_pressure())
-    }
-
-    fn queue_len(&self) -> usize {
-        delegate!(self, b => b.queue_len())
-    }
-
-    fn slot_stats(&self) -> SlotStats {
-        delegate!(self, b => *b.slot_stats())
-    }
-
-    fn dram_stats(&self) -> DramStats {
-        delegate!(self, b => *b.dram_stats())
-    }
-
-    fn protocol_stats(&self) -> (ProtocolStats, Option<ProtocolStats>) {
-        match self {
-            Backend::Single(b) => (b.protocol.stats().clone(), None),
-            Backend::Rho(b) => (b.main.stats().clone(), Some(b.small.stats().clone())),
-        }
-    }
-
-    fn dwb_stats(&self) -> Option<DwbStats> {
-        match self {
-            Backend::Single(b) => b.dwb_stats(),
-            Backend::Rho(_) => None,
-        }
-    }
-
-    /// Runs the end-of-run audit sweep (no-op when auditing is off).
-    fn final_audit(&mut self, h: &MemoryHierarchy) {
-        delegate!(self, b => b.final_audit(h))
-    }
-
-    /// The audit results (None unless the config enabled auditing).
-    pub fn audit_report(&self) -> Option<AuditReport> {
-        delegate!(self, b => b.audit_report())
-    }
-
-    /// Per-level `(used, capacity)` of the (main) tree.
-    pub fn utilization(&self) -> Vec<(u64, u64)> {
-        match self {
-            Backend::Single(b) => b.protocol.utilization_per_level(),
-            Backend::Rho(b) => b.main.utilization_per_level(),
-        }
-    }
-
-    /// Path slots processed so far (the checkpoint cadence counter).
-    pub fn slots_done(&self) -> u64 {
-        delegate!(self, b => b.slots_done())
-    }
-
-    /// Serializes the backend (variant tag + controller state).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            Backend::Single(b) => {
-                w.put_u8(0);
-                b.save_state(w);
-            }
-            Backend::Rho(b) => {
-                w.put_u8(1);
-                b.save_state(w);
-            }
-        }
-    }
-
-    /// Restores state written by [`Backend::save_state`] into a freshly
-    /// built backend for the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] when the payload is malformed or was written by the
-    /// other backend variant.
-    pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        match (r.take_u8()?, self) {
-            (0, Backend::Single(b)) => b.restore_state(r),
-            (1, Backend::Rho(b)) => b.restore_state(r),
-            _ => Err(SnapError::Corrupt("backend variant mismatch")),
-        }
     }
 }
 
@@ -449,7 +282,7 @@ impl Simulation {
         workload: &str,
         ckpt: Option<&CheckpointSpec>,
     ) -> Result<(SimReport, Option<AuditReport>), SimError> {
-        let mut backend = Backend::new(cfg);
+        let mut ctl = TimedController::new(cfg);
         let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy);
         let mut cpu = TraceCpu::new(cfg.rob_insts, cfg.ipc, cfg.mshrs);
         let mut next_id: u64 = 1;
@@ -492,7 +325,7 @@ impl Simulation {
                         )))
                     }
                 }
-                backend.restore_state(&mut r)?;
+                ctl.restore_state(&mut r)?;
                 r.finish()?;
                 last_ckpt_slots = header.slots_done;
             }
@@ -503,7 +336,7 @@ impl Simulation {
             // (no partially applied path access), so this is a consistent
             // cut of the whole simulation state.
             if let Some(spec) = ckpt {
-                let slots = backend.slots_done();
+                let slots = ctl.slots_done();
                 if cfg.checkpoint_interval > 0
                     && slots >= last_ckpt_slots + cfg.checkpoint_interval
                 {
@@ -523,7 +356,7 @@ impl Simulation {
                             p.save_state(&mut w);
                         }
                     }
-                    backend.save_state(&mut w);
+                    ctl.save_state(&mut w);
                     checkpoint::persist(&spec.path, spec.fingerprint, slots, &w.into_bytes())?;
                     last_ckpt_slots = slots;
                 }
@@ -554,9 +387,9 @@ impl Simulation {
             loop {
                 match cpu.try_issue(rec.gap) {
                     IssueCheck::Ready(t) => {
-                        if backend.queue_len() >= MAX_QUEUE {
-                            backend.advance_until_queue_below(MAX_QUEUE, &mut hierarchy)?;
-                            for (id, done) in backend.take_completions() {
+                        if ctl.queue_len() >= MAX_QUEUE {
+                            ctl.advance_until_queue_below(MAX_QUEUE, &mut hierarchy)?;
+                            for (id, done) in ctl.take_completions() {
                                 last_completion = last_completion.max(done);
                                 cpu.complete(id, done);
                             }
@@ -574,12 +407,12 @@ impl Simulation {
                         };
                         let mut submitted_read: Option<u64> = None;
                         if outcome == AccessOutcome::Miss {
-                            if backend.front_try(addr, t).is_some() {
+                            if ctl.front_try(addr, t).is_some() {
                                 latency = cfg.front_hit_lat;
                             } else {
                                 let id = next_id;
                                 next_id += 1;
-                                backend.submit(OramRequest {
+                                ctl.submit(OramRequest {
                                     id,
                                     addr,
                                     arrival: t,
@@ -593,23 +426,23 @@ impl Simulation {
                         if let Some(ev) = evicted {
                             let id = next_id;
                             next_id += 1;
-                            backend.on_llc_eviction(BlockAddr(ev.addr), ev.dirty, t, id);
+                            ctl.on_llc_eviction(BlockAddr(ev.addr), ev.dirty, t, id);
                         }
                         cpu.issue(rec.gap, t, latency);
                         if let Some(id) = submitted_read {
                             cpu.add_miss(id);
                         }
                         ops += 1;
-                        backend.advance_until(cpu.cursor(), &mut hierarchy)?;
-                        for (id, done) in backend.take_completions() {
+                        ctl.advance_until(cpu.cursor(), &mut hierarchy)?;
+                        for (id, done) in ctl.take_completions() {
                             last_completion = last_completion.max(done);
                             cpu.complete(id, done);
                         }
                         break;
                     }
                     IssueCheck::Blocked(req) => {
-                        backend.advance_until_complete(req, &mut hierarchy)?;
-                        for (id, done) in backend.take_completions() {
+                        ctl.advance_until_complete(req, &mut hierarchy)?;
+                        for (id, done) in ctl.take_completions() {
                             last_completion = last_completion.max(done);
                             cpu.complete(id, done);
                         }
@@ -618,8 +451,8 @@ impl Simulation {
             }
         }
         // Drain the remaining memory work (queued writes, write-backs).
-        let drain_end = backend.drain(&mut hierarchy)?;
-        for (id, done) in backend.take_completions() {
+        let drain_end = ctl.drain(&mut hierarchy)?;
+        for (id, done) in ctl.take_completions() {
             last_completion = last_completion.max(done);
             cpu.complete(id, done);
         }
@@ -630,11 +463,9 @@ impl Simulation {
             .max(drain_end)
             .raw();
 
-        backend.final_audit(&hierarchy);
-        let audit = backend.audit_report();
-        let (protocol, protocol_small) = backend.protocol_stats();
-        let istats = backend.integrity_stats();
-        let injected = backend.fault_injected();
+        ctl.final_audit(&hierarchy);
+        let istats = ctl.integrity_stats();
+        let injected = ctl.fault_injected();
         let faults = FaultStats {
             injected_corruptions: istats.injected,
             detected: istats.detected,
@@ -645,7 +476,7 @@ impl Simulation {
             storms: injected.storms,
             mangled_records: injected.mangled_records,
             rejected_records,
-            refetch_penalty_cycles: backend.refetch_penalty_cycles(),
+            refetch_penalty_cycles: ctl.refetch_penalty_cycles(),
         };
         let report = SimReport {
             scheme: cfg.scheme,
@@ -653,20 +484,20 @@ impl Simulation {
             cycles,
             instructions: cpu.instructions(),
             mem_ops: ops,
-            protocol,
-            protocol_small,
-            slots: backend.slot_stats(),
-            dram: backend.dram_stats(),
+            protocol: ctl.protocol.stats().clone(),
+            protocol_small: ctl.small_protocol().map(|s| s.stats().clone()),
+            slots: *ctl.slot_stats(),
+            dram: *ctl.dram_stats(),
             hierarchy: *hierarchy.stats(),
-            dwb: backend.dwb_stats(),
+            dwb: ctl.dwb_stats(),
             faults,
-            stash: backend.stash_pressure(),
+            stash: ctl.stash_pressure(),
         };
         // The last mid-run snapshot (if any) is left on disk: deleting it
         // is the caller's call, once the report is safely persisted. Tests
         // also resume from it to prove restored runs match uninterrupted
         // ones.
-        Ok((report, audit))
+        Ok((report, ctl.audit_report()))
     }
 }
 

@@ -26,7 +26,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"IRORAMCK";
 /// Current snapshot format version. Bumped on any layout change; loading a
 /// snapshot with a different version is a typed error, never a
 /// misinterpretation.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Fixed header length: magic + version + fingerprint + slots + len + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;

@@ -11,8 +11,8 @@
 use std::path::PathBuf;
 
 use ir_oram::{
-    CheckpointSpec, OramRequest, RhoController, RunLimit, Scheme, SimError, Simulation,
-    SystemConfig, TimedController,
+    CheckpointSpec, OramRequest, RunLimit, Scheme, SimError, Simulation, SystemConfig,
+    TimedController,
 };
 use iroram_cache::{HierarchyConfig, MemoryHierarchy};
 use iroram_protocol::{BlockAddr, TreeTopMode, ZAllocation};
@@ -184,7 +184,7 @@ fn timed_controller_roundtrips_mid_flight() {
 fn rho_controller_roundtrips_mid_flight() {
     let cfg = tiny(Scheme::Rho);
     let mut hier_a = MemoryHierarchy::new(cfg.hierarchy);
-    let mut a = RhoController::new(&cfg);
+    let mut a = TimedController::new(&cfg);
     for i in 0..24u64 {
         a.submit(OramRequest {
             id: i + 1,
@@ -199,7 +199,7 @@ fn rho_controller_roundtrips_mid_flight() {
     let mut w = SnapWriter::new();
     a.save_state(&mut w);
     let bytes = w.into_bytes();
-    let mut b = RhoController::new(&cfg);
+    let mut b = TimedController::new(&cfg);
     let mut r = SnapReader::new(&bytes);
     b.restore_state(&mut r).expect("restore");
     r.finish().expect("no trailing snapshot bytes");

@@ -126,3 +126,19 @@ fn rho_small_tree_carries_traffic() {
     );
     check_consistency(&r, Scheme::Rho);
 }
+
+/// ρ under stash pressure issues background-eviction slots; each must be
+/// counted once (as a bg slot, not also as a real one) for the slot
+/// categories to partition the total.
+#[test]
+fn rho_bg_eviction_slots_are_counted_once() {
+    let opts = iroram_experiments::ExpOptions::quick();
+    let mut cfg = opts.system(Scheme::Rho);
+    cfg.oram.stash_capacity = 8;
+    let r = Simulation::run_bench(&cfg, Bench::Lbm, RunLimit::mem_ops(40_000));
+    assert!(
+        r.slots.bg_slots > 0,
+        "the pressured run must evict in the background"
+    );
+    check_consistency(&r, Scheme::Rho);
+}

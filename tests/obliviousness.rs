@@ -95,22 +95,41 @@ fn dummy_and_real_leaves_are_equally_distributed() {
 /// the attacker learns nothing from access intensity.
 #[test]
 fn slot_rate_is_workload_independent() {
+    use iroram_sim_engine::Cycle;
+
+    for scheme in [Scheme::Baseline, Scheme::Rho] {
+        let cfg = tiny(scheme);
+        let (idle, busy) = idle_and_busy(&cfg, Cycle(400_000));
+        let idle_slots = idle.slot_stats().total_slots;
+        let busy_slots = busy.slot_stats().total_slots;
+
+        // Path service time varies slightly with row-buffer state, so allow
+        // a small band — but idle and busy must be within a few percent.
+        let lo = idle_slots.min(busy_slots) as f64;
+        let hi = idle_slots.max(busy_slots) as f64;
+        assert!(
+            hi / lo < 1.05,
+            "{scheme:?}: slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
+        );
+    }
+}
+
+/// Runs an idle controller (dummies only) and a saturated one (a deep
+/// queue of real requests) up to `horizon`.
+fn idle_and_busy(
+    cfg: &SystemConfig,
+    horizon: iroram_sim_engine::Cycle,
+) -> (ir_oram::TimedController, ir_oram::TimedController) {
     use ir_oram::TimedController;
     use iroram_cache::MemoryHierarchy;
     use iroram_protocol::BlockAddr;
     use iroram_sim_engine::Cycle;
 
-    let cfg = tiny(Scheme::Baseline);
-    let horizon = Cycle(400_000);
-
-    // Idle controller: dummies only.
-    let mut idle = TimedController::new(&cfg);
+    let mut idle = TimedController::new(cfg);
     let mut h1 = MemoryHierarchy::new(cfg.hierarchy);
     idle.advance_until(horizon, &mut h1).unwrap();
-    let idle_slots = idle.slot_stats().total_slots;
 
-    // Saturated controller: a deep queue of real requests.
-    let mut busy = TimedController::new(&cfg);
+    let mut busy = TimedController::new(cfg);
     let mut h2 = MemoryHierarchy::new(cfg.hierarchy);
     let mut id = 0;
     for a in (0..4096u64).step_by(3) {
@@ -125,95 +144,83 @@ fn slot_rate_is_workload_independent() {
         }
     }
     busy.advance_until(horizon, &mut h2).unwrap();
-    let busy_slots = busy.slot_stats().total_slots;
+    (idle, busy)
+}
 
-    // Path service time varies slightly with row-buffer state, so allow a
-    // small band — but idle and busy must be within a few percent.
-    let lo = idle_slots.min(busy_slots) as f64;
-    let hi = idle_slots.max(busy_slots) as f64;
-    assert!(
-        hi / lo < 1.05,
-        "slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
-    );
+/// DRAM lines `n` slots must move: one read and one write per memory slot
+/// of each path. Single-tree paths all have the main tree's length; ρ's
+/// fixed pattern puts slots 0, 3, 6, … on the main tree and the rest on
+/// the small tree.
+fn expected_dram_lines(ctl: &ir_oram::TimedController, cfg: &SystemConfig, n: u64) -> u64 {
+    let main_len = ctl
+        .protocol
+        .layout()
+        .path_len_memory(cfg.oram.treetop.cached_levels());
+    match ctl.small_protocol() {
+        None => 2 * n * main_len,
+        Some(small) => {
+            let main_slots = n.div_ceil(3);
+            let small_len = small.layout().path_len_memory(0);
+            2 * (main_slots * main_len + (n - main_slots) * small_len)
+        }
+    }
 }
 
 /// The pipelined controllers keep both uniformity arguments at every
 /// depth: over a fixed horizon, an idle (all-dummy) and a saturated
 /// (all-real) controller issue the same number of slots, and every slot
-/// carries exactly the same DRAM request count — so the externally visible
-/// address *volume and rate* are request-content-independent at depths 1,
-/// 2 and 4. Runs are audited, so the depth-k exact-schedule, conservation
-/// and oracle checks all gate the overlapped schedules too.
+/// carries exactly the DRAM request count its tree's path shape dictates —
+/// so the externally visible address *volume and rate* are
+/// request-content-independent at depths 1, 2 and 4. Runs are audited, so
+/// the depth-k exact-schedule, conservation and oracle checks all gate the
+/// overlapped schedules too.
 #[test]
 fn dram_traffic_is_workload_independent_at_every_pipeline_depth() {
-    use ir_oram::TimedController;
-    use iroram_cache::MemoryHierarchy;
-    use iroram_protocol::BlockAddr;
     use iroram_sim_engine::Cycle;
 
-    let horizon = Cycle(300_000);
-    for depth in [1u32, 2, 4] {
-        let mut cfg = tiny(Scheme::Baseline);
-        cfg.pipeline_depth = depth;
-        cfg.audit = true;
+    for scheme in [Scheme::Baseline, Scheme::Rho] {
+        for depth in [1u32, 2, 4] {
+            let mut cfg = tiny(scheme);
+            cfg.pipeline_depth = depth;
+            cfg.audit = true;
+            let (idle, busy) = idle_and_busy(&cfg, Cycle(300_000));
+            let idle_slots = idle.slot_stats().total_slots;
+            let busy_slots = busy.slot_stats().total_slots;
 
-        let mut idle = TimedController::new(&cfg);
-        let mut h1 = MemoryHierarchy::new(cfg.hierarchy);
-        idle.advance_until(horizon, &mut h1).unwrap();
-        let idle_slots = idle.slot_stats().total_slots;
-        // The pipelined controller legitimately holds one write batch in
-        // its deferred buffer mid-run; count it so the per-slot identity
-        // below stays exact.
-        let idle_reqs = idle.dram_stats().requests + idle.deferred_write_lines();
-
-        let mut busy = TimedController::new(&cfg);
-        let mut h2 = MemoryHierarchy::new(cfg.hierarchy);
-        let mut id = 0;
-        for a in (0..4096u64).step_by(3) {
-            if busy.front_try(BlockAddr(a), Cycle(0)).is_none() {
-                id += 1;
-                busy.submit(ir_oram::OramRequest {
-                    id,
-                    addr: BlockAddr(a),
-                    arrival: Cycle(0),
-                    blocking: false,
-                });
+            let lo = idle_slots.min(busy_slots) as f64;
+            let hi = idle_slots.max(busy_slots) as f64;
+            assert!(
+                hi / lo < 1.05,
+                "{scheme:?} depth {depth}: slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
+            );
+            for (name, ctl) in [("idle", &idle), ("busy", &busy)] {
+                // Every slot moves exactly its path shape's DRAM lines,
+                // whatever it carries. The pipelined controller
+                // legitimately holds one write batch in its deferred
+                // buffer mid-run; count it so the identity stays exact.
+                let slots = ctl.slot_stats().total_slots;
+                assert_eq!(
+                    ctl.dram_stats().requests + ctl.deferred_write_lines(),
+                    expected_dram_lines(ctl, &cfg, slots),
+                    "{scheme:?} depth {depth}: {name} DRAM request count depends on the \
+                     workload ({slots} slots)"
+                );
+                let report = ctl.audit_report().expect("audit enabled");
+                assert!(
+                    report.is_clean(),
+                    "{scheme:?} depth {depth}: {name} audit violations: {:?}",
+                    report.samples
+                );
+                assert!(report.checks > 0, "audit must actually run");
             }
-        }
-        busy.advance_until(horizon, &mut h2).unwrap();
-        let busy_slots = busy.slot_stats().total_slots;
-        let busy_reqs = busy.dram_stats().requests + busy.deferred_write_lines();
-
-        let lo = idle_slots.min(busy_slots) as f64;
-        let hi = idle_slots.max(busy_slots) as f64;
-        assert!(
-            hi / lo < 1.05,
-            "depth {depth}: slot rate leaks load: idle {idle_slots} vs busy {busy_slots}"
-        );
-        // Every slot moves an identical number of DRAM lines whatever it
-        // carries: requests-per-slot must match exactly across workloads.
-        assert_eq!(
-            idle_reqs * busy_slots,
-            busy_reqs * idle_slots,
-            "depth {depth}: per-slot DRAM request count depends on the workload \
-             (idle {idle_reqs}/{idle_slots}, busy {busy_reqs}/{busy_slots})"
-        );
-        for (name, ctl) in [("idle", &idle), ("busy", &busy)] {
-            let report = ctl.audit_report().expect("audit enabled");
-            assert!(
-                report.is_clean(),
-                "depth {depth}: {name} audit violations: {:?}",
-                report.samples
-            );
-            assert!(report.checks > 0, "audit must actually run");
-        }
-        if depth == 1 {
-            assert!(
-                idle.pipeline_stats().is_none(),
-                "depth 1 must run the serial code path"
-            );
-        } else {
-            assert!(idle.pipeline_stats().is_some());
+            if depth == 1 {
+                assert!(
+                    idle.pipeline_stats().is_none(),
+                    "depth 1 must run the serial code path"
+                );
+            } else {
+                assert!(idle.pipeline_stats().is_some());
+            }
         }
     }
 }
