@@ -36,17 +36,16 @@
 use std::time::Instant;
 
 use iroram_bench::hist::Histogram;
-use iroram_experiments::history::HistoryKey;
+use iroram_experiments::history::{write_snapshot, HistoryKey, EXIT_REGRESSION, HISTORY_PATH};
+use iroram_experiments::json::Json;
 use iroram_hash::mix64;
 use iroram_kv::{KvConfig, KvOp, KvService, ShardReport};
 use iroram_sim_engine::SimRng;
 
-/// How much slower than the last recorded quick run of the same shape the
-/// gated run may be before the ratchet fails. Wider than perfstat's 10%:
-/// wall-clock KV rates swing ±15% run-to-run on a shared 1-core host.
+/// How much slower than the last passing run of the same shape a run may
+/// be before the ratchet judges it a regression. Wider than perfstat's
+/// 10%: wall-clock KV rates swing ±15% run-to-run on a shared 1-core host.
 const RATCHET_TOLERANCE: f64 = 0.20;
-const EXIT_REGRESSION: i32 = 1;
-const EXIT_NO_BASELINE: i32 = 2;
 
 /// The 4-shard quick run must beat the 1-shard run by at least this
 /// factor in aggregate service capacity, or the sharding layer has
@@ -293,64 +292,29 @@ fn print_run(r: &RunResult) {
     }
 }
 
-fn json_run(r: &RunResult) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "    {{\"shards\": {}, \"load_seconds\": {:.6}, \"mixed_ops_per_sec\": {:.1}, \
-         \"capacity_ops_per_sec\": {:.1},\n",
-        r.shards,
-        r.load_seconds,
-        r.mixed_ops_per_sec,
-        r.capacity_ops_per_sec()
-    ));
-    s.push_str("     \"phases\": [");
-    for (i, p) in r.phases.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!(
-            "{{\"name\": \"{}\", \"ops\": {}, \"wall_seconds\": {:.6}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \
-             \"mean_ns\": {:.1}}}",
-            p.name,
-            p.ops,
-            p.wall_seconds,
-            p.hist.value_at(0.50),
-            p.hist.value_at(0.99),
-            p.hist.value_at(0.999),
-            p.hist.max(),
-            p.hist.mean()
-        ));
-    }
-    s.push_str("],\n     \"shard_mixed_ops\": [");
-    for (i, ops) in r.shard_ops.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&ops.to_string());
-    }
-    s.push_str("], \"shard_busy_seconds\": [");
-    for (i, busy) in r.shard_busy_ns.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("{:.6}", *busy as f64 / 1e9));
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Short commit hash of the working tree, or `"unknown"` outside a checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
+fn json_run(r: &RunResult) -> Json {
+    let phases = r.phases.iter().map(|p| {
+        Json::obj(vec![
+            ("name", Json::from(p.name)),
+            ("ops", Json::from(p.ops)),
+            ("wall_seconds", Json::fixed(p.wall_seconds, 6)),
+            ("p50_ns", Json::from(p.hist.value_at(0.50))),
+            ("p99_ns", Json::from(p.hist.value_at(0.99))),
+            ("p999_ns", Json::from(p.hist.value_at(0.999))),
+            ("max_ns", Json::from(p.hist.max())),
+            ("mean_ns", Json::fixed(p.hist.mean(), 1)),
+        ])
+    });
+    let busy = r.shard_busy_ns.iter().map(|&b| Json::fixed(b as f64 / 1e9, 6));
+    Json::obj(vec![
+        ("shards", Json::from(r.shards as u64)),
+        ("load_seconds", Json::fixed(r.load_seconds, 6)),
+        ("mixed_ops_per_sec", Json::fixed(r.mixed_ops_per_sec, 1)),
+        ("capacity_ops_per_sec", Json::fixed(r.capacity_ops_per_sec(), 1)),
+        ("phases", Json::Arr(phases.collect())),
+        ("shard_mixed_ops", Json::Arr(r.shard_ops.iter().map(|&o| Json::from(o)).collect())),
+        ("shard_busy_seconds", Json::Arr(busy.collect())),
+    ])
 }
 
 /// The workload fingerprint for history provenance: the service config
@@ -389,77 +353,45 @@ fn main() {
     );
 
     // Snapshot JSON for the latest run.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"scale\": \"{}\",\n", opts.scale));
-    json.push_str(&format!("  \"keys\": {},\n", opts.keys));
-    json.push_str(&format!("  \"mixed_ops_per_phase\": {},\n", opts.mixed_ops));
-    json.push_str(&format!("  \"zipf_s\": {ZIPF_S},\n"));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        json.push_str(&json_run(r));
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"wall_speedup_4_vs_1\": {wall_speedup:.4},\n"));
-    json.push_str(&format!("  \"capacity_speedup_4_vs_1\": {capacity_speedup:.4}\n"));
-    json.push_str("}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv_latency.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("error: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json = Json::obj(vec![
+        ("scale", Json::from(opts.scale)),
+        ("keys", Json::from(opts.keys)),
+        ("mixed_ops_per_phase", Json::from(opts.mixed_ops)),
+        ("zipf_s", Json::fixed(ZIPF_S, 2)),
+        ("runs", Json::Arr(runs.iter().map(json_run).collect())),
+        ("wall_speedup_4_vs_1", Json::fixed(wall_speedup, 4)),
+        ("capacity_speedup_4_vs_1", Json::fixed(capacity_speedup, 4)),
+    ]);
+    write_snapshot("BENCH_kv_latency.json", &json);
 
     // Append-only history entries, one per run, namespaced to the kv
-    // bench family so the sim ratchet can never cross-match them.
-    let hist_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
-    let commit = git_commit();
-    let epoch_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut gated: Option<(HistoryKey, f64)> = None;
-    for r in &runs {
-        let mut cfg = KvConfig::for_keys(opts.keys, r.shards);
-        cfg.seed = opts.seed;
-        let key = HistoryKey {
-            bench: "kv".to_owned(),
-            scale: opts.scale.to_owned(),
-            jobs: r.shards as u64,
-            cfg_fp: workload_fp(&cfg, &opts),
-        };
-        let line = format!(
-            "{{\"epoch_secs\": {epoch_secs}, \"bench\": \"kv\", \"scale\": \"{}\", \
-             \"jobs\": {}, \"kv_keys\": {}, \"kv_ops\": {}, \
-             \"kv_ops_per_sec\": {:.1}, \"kv_capacity_ops_per_sec\": {:.1}, \
-             \"note\": \"commit {commit}, {}\"}}\n",
-            opts.scale,
-            r.shards,
-            opts.keys,
-            opts.mixed_ops * 2,
-            r.mixed_ops_per_sec,
-            r.capacity_ops_per_sec(),
-            key.fp_tag()
-        );
-        use std::io::Write as _;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(hist_path)
-            .and_then(|mut f| {
-                let prior = std::fs::read_to_string(hist_path).unwrap_or_default();
-                if r.shards == 4 {
-                    gated = Some((key.clone(), key.latest_rate(&prior, "kv_ops_per_sec").unwrap_or(-1.0)));
-                }
-                f.write_all(line.as_bytes())
-            });
-        match appended {
-            Ok(()) => println!("appended S={} run to {hist_path}", r.shards),
-            Err(e) => eprintln!("warning: could not append {hist_path}: {e}"),
-        }
-    }
+    // bench family so the sim ratchet can never cross-match them. Each
+    // run is judged against its own lineage before its line is appended.
+    let judged: Vec<_> = runs
+        .iter()
+        .map(|r| {
+            let mut cfg = KvConfig::for_keys(opts.keys, r.shards);
+            cfg.seed = opts.seed;
+            let key = HistoryKey {
+                bench: "kv".to_owned(),
+                scale: opts.scale.to_owned(),
+                jobs: r.shards as u64,
+                cfg_fp: workload_fp(&cfg, &opts),
+            };
+            let verdict = key.record(
+                HISTORY_PATH,
+                "kv_ops_per_sec",
+                r.mixed_ops_per_sec,
+                RATCHET_TOLERANCE,
+                vec![
+                    ("kv_keys", Json::from(opts.keys)),
+                    ("kv_ops", Json::from(opts.mixed_ops * 2)),
+                    ("kv_capacity_ops_per_sec", Json::fixed(r.capacity_ops_per_sec(), 1)),
+                ],
+            );
+            (key, verdict)
+        })
+        .collect();
 
     // Shard-scaling gate: the whole point of the sharded layer. Gated on
     // aggregate capacity (machine-independent); wall-clock speedup on a
@@ -481,27 +413,7 @@ fn main() {
 
     // CI perf ratchet on the quick 4-shard lineage, perfstat conventions:
     // exit 1 = regression, exit 2 = vacuous pass (no baseline; this run's
-    // entry was appended above, so the next run has one).
-    if opts.scale == "quick" {
-        let (key, prior) = gated.expect("4-shard run always present");
-        let rate = runs[1].mixed_ops_per_sec;
-        if prior < 0.0 {
-            eprintln!(
-                "kv ratchet: WARNING — no prior quick/jobs={} entry with {} in \
-                 BENCH_history.jsonl; the gate passed vacuously, not green.",
-                key.jobs,
-                key.fp_tag()
-            );
-            std::process::exit(EXIT_NO_BASELINE);
-        }
-        let floor = prior * (1.0 - RATCHET_TOLERANCE);
-        if rate < floor {
-            eprintln!(
-                "kv ratchet: FAIL — {rate:.0} ops/s is below the floor {floor:.0} \
-                 (previous {prior:.0})"
-            );
-            std::process::exit(EXIT_REGRESSION);
-        }
-        println!("kv ratchet: ok — {rate:.0} ops/s vs previous {prior:.0} (floor {floor:.0})");
-    }
+    // line was appended above, so the next run has one).
+    let (key, verdict) = &judged[1];
+    key.enforce("kv ratchet", *verdict);
 }

@@ -15,69 +15,17 @@
 use std::time::Instant;
 
 use ir_oram::ALL_SCHEMES;
-use iroram_experiments::history::HistoryKey;
+use iroram_experiments::history::{write_snapshot, HistoryKey, HISTORY_PATH};
 use iroram_experiments::journal::fingerprint;
+use iroram_experiments::json::Json;
 use iroram_experiments::runner::{perf_benches, run_scheme};
 use iroram_experiments::ExpOptions;
 use iroram_sim_engine::profiler;
 
-/// How much slower than the last recorded run of the same scale/jobs a
-/// `--quick` run may be before the ratchet fails the step (CI perf gate).
+/// How much slower than the last passing run of the same lineage a run
+/// may be before the ratchet judges it a regression (and, at `--quick`,
+/// fails the CI perf step).
 const RATCHET_TOLERANCE: f64 = 0.10;
-
-/// Process exit code for a ratchet regression.
-const EXIT_REGRESSION: i32 = 1;
-
-/// Process exit code when the ratchet had no comparable baseline: the gate
-/// passed *vacuously*, which must not read as a green perf check. Distinct
-/// from [`EXIT_REGRESSION`] so CI can tell "got slower" from "measured
-/// nothing". The run's own entry is appended before the verdict, so the
-/// next run has a baseline and this self-heals.
-const EXIT_NO_BASELINE: i32 = 2;
-
-/// Verdict of the quick-scale perf ratchet, separated from process exit so
-/// the decision logic is unit-testable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ratchet {
-    /// Rate is at or above the tolerance floor of the prior recorded run.
-    Ok { prev: f64, floor: f64 },
-    /// Rate fell more than `RATCHET_TOLERANCE` below the prior run.
-    Regression { prev: f64, floor: f64 },
-    /// No prior entry at the same scale and job count: nothing was gated.
-    NoBaseline,
-}
-
-/// The ratchet decision: `None` when `scale` is not gated (only `--quick`
-/// is — it is the scale the CI perf-smoke step runs).
-fn ratchet_verdict(scale: &str, prior_rate: Option<f64>, rate: f64) -> Option<Ratchet> {
-    if scale != "quick" {
-        return None;
-    }
-    Some(match prior_rate {
-        None => Ratchet::NoBaseline,
-        Some(prev) => {
-            let floor = prev * (1.0 - RATCHET_TOLERANCE);
-            if rate < floor {
-                Ratchet::Regression { prev, floor }
-            } else {
-                Ratchet::Ok { prev, floor }
-            }
-        }
-    })
-}
-
-/// Short commit hash of the working tree, or `"unknown"` outside a checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
 
 struct SchemeStat {
     scheme: &'static str,
@@ -105,14 +53,6 @@ fn scale_name(opts: &ExpOptions) -> &'static str {
         }
     }
     "custom"
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(
-        !s.contains(['"', '\\']),
-        "scheme/bench names must not need JSON escaping"
-    );
-    s
 }
 
 fn main() {
@@ -172,47 +112,25 @@ fn main() {
         "total: {total_ops} simulated mem-ops in {total_wall:.3}s -> {total_rate:.0} ops/s"
     );
 
-    // Hand-rolled JSON: the vendored serde shim derives are no-ops, and the
-    // shape here is flat enough that formatting directly is clearer anyway.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"scale\": \"{}\",\n", scale_name(&opts)));
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    json.push_str(&format!("  \"mem_ops_per_cell\": {},\n", opts.mem_ops));
-    json.push_str("  \"benches\": [");
-    for (i, b) in benches.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{}\"", json_escape_free(b.name())));
-    }
-    json.push_str("],\n  \"schemes\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"mem_ops\": {}, \"wall_seconds\": {:.6}, \"mem_ops_per_sec\": {:.1}}}{}\n",
-            json_escape_free(s.scheme),
-            s.mem_ops,
-            s.wall_seconds,
-            s.ops_per_sec,
-            if i + 1 < stats.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"total_mem_ops\": {total_ops},\n"));
-    json.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
-    json.push_str(&format!(
-        "  \"total_mem_ops_per_sec\": {total_rate:.1}\n"
-    ));
-    json.push_str("}\n");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_throughput.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("error: could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let schemes = stats.iter().map(|s| {
+        Json::obj(vec![
+            ("scheme", Json::from(s.scheme)),
+            ("mem_ops", Json::from(s.mem_ops)),
+            ("wall_seconds", Json::fixed(s.wall_seconds, 6)),
+            ("mem_ops_per_sec", Json::fixed(s.ops_per_sec, 1)),
+        ])
+    });
+    let json = Json::obj(vec![
+        ("scale", Json::from(scale_name(&opts))),
+        ("jobs", Json::from(jobs as u64)),
+        ("mem_ops_per_cell", Json::from(opts.mem_ops)),
+        ("benches", Json::Arr(benches.iter().map(|b| Json::from(b.name())).collect())),
+        ("schemes", Json::Arr(schemes.collect())),
+        ("total_mem_ops", Json::from(total_ops)),
+        ("total_wall_seconds", Json::fixed(total_wall, 6)),
+        ("total_mem_ops_per_sec", Json::fixed(total_rate, 1)),
+    ]);
+    write_snapshot("BENCH_sim_throughput.json", &json);
 
     // Append-only run history, so throughput regressions have a trail to
     // diff against (the snapshot file above only holds the latest run).
@@ -220,9 +138,6 @@ fn main() {
     // over every (scheme, bench) cell config, so a rate change is
     // attributable: same fingerprint = same simulated workload, so the
     // delta is the simulator; different fingerprint = the workload moved.
-    let hist_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
-    let scale = scale_name(&opts);
-
     let limit = opts.limit();
     let mut cfg_fp = 0u64;
     for scheme in ALL_SCHEMES {
@@ -233,78 +148,41 @@ fn main() {
         }
     }
 
-    // Ratchet baseline: the most recent prior entry of the same bench
-    // family at the same scale, job count, *and* config fingerprint. Other
-    // shapes are not rate-comparable — in particular, `--set` overrides
-    // that change the simulated workload (e.g. `pipeline_depth`) get their
-    // own baseline lineage instead of poisoning the default one, and
-    // `kv_bench` entries in the same file can never match a sim key.
+    // Ratchet lineage: the same bench family, scale, job count *and*
+    // config fingerprint. Other shapes are not rate-comparable — in
+    // particular, `--set` overrides that change the simulated workload
+    // (e.g. `pipeline_depth`) get their own lineage instead of poisoning
+    // the default one, and `kv_bench` entries in the same file can never
+    // match a sim key.
     let key = HistoryKey {
         bench: "sim".to_owned(),
-        scale: scale.to_owned(),
+        scale: scale_name(&opts).to_owned(),
         jobs: jobs as u64,
         cfg_fp,
     };
-    let prior_rate = std::fs::read_to_string(hist_path)
-        .ok()
-        .and_then(|hist| key.latest_rate(&hist, "total_mem_ops_per_sec"));
-    let epoch_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let line = format!(
-        "{{\"epoch_secs\": {epoch_secs}, \"bench\": \"sim\", \"scale\": \"{scale}\", \
-         \"jobs\": {jobs}, \
-         \"total_mem_ops\": {total_ops}, \"total_wall_seconds\": {total_wall:.6}, \
-         \"total_mem_ops_per_sec\": {total_rate:.1}, \
-         \"note\": \"commit {}, cfg-fp {cfg_fp:016x}\"}}\n",
-        git_commit()
+    let verdict = key.record(
+        HISTORY_PATH,
+        "total_mem_ops_per_sec",
+        total_rate,
+        RATCHET_TOLERANCE,
+        history_fields(total_ops, total_wall),
     );
-    use std::io::Write as _;
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(hist_path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    match appended {
-        Ok(()) => println!("appended run to {hist_path}"),
-        Err(e) => eprintln!("warning: could not append {hist_path}: {e}"),
-    }
+    key.enforce("perf ratchet", verdict);
+}
 
-    // CI perf ratchet: a quick run that lands more than RATCHET_TOLERANCE
-    // below the previous recorded quick run fails the step.
-    match ratchet_verdict(scale, prior_rate, total_rate) {
-        None => {}
-        Some(Ratchet::Ok { prev, floor }) => {
-            println!(
-                "perf ratchet: ok — {total_rate:.0} ops/s vs previous {prev:.0} \
-                 (floor {floor:.0})"
-            );
-        }
-        Some(Ratchet::Regression { prev, floor }) => {
-            eprintln!(
-                "perf ratchet: FAIL — {total_rate:.0} ops/s is more than \
-                 {:.0}% below the previous recorded run ({prev:.0} ops/s, \
-                 floor {floor:.0})",
-                RATCHET_TOLERANCE * 100.0
-            );
-            std::process::exit(EXIT_REGRESSION);
-        }
-        Some(Ratchet::NoBaseline) => {
-            eprintln!(
-                "perf ratchet: WARNING — no prior {scale}/jobs={jobs} entry in \
-                 BENCH_history.jsonl; the gate passed vacuously, not green. \
-                 This run was appended above, so the next run has a baseline. \
-                 Exiting {EXIT_NO_BASELINE} so CI cannot mistake an unmeasured \
-                 run for a passing one."
-            );
-            std::process::exit(EXIT_NO_BASELINE);
-        }
-    }
+/// The history line's fields besides the lineage and the rate.
+fn history_fields(total_ops: u64, total_wall: f64) -> Vec<(&'static str, Json)> {
+    vec![
+        ("total_mem_ops", Json::from(total_ops)),
+        ("total_wall_seconds", Json::fixed(total_wall, 6)),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iroram_experiments::history::{Verdict, EXIT_NO_BASELINE, EXIT_REGRESSION};
+    use iroram_experiments::json;
 
     #[test]
     fn set_overrides_do_not_demote_the_scale() {
@@ -321,67 +199,68 @@ mod tests {
         assert_eq!(scale_name(&o), "custom");
     }
 
+    fn key(scale: &str) -> HistoryKey {
+        HistoryKey {
+            bench: "sim".to_owned(),
+            scale: scale.to_owned(),
+            jobs: 4,
+            cfg_fp: 0xff,
+        }
+    }
+
     #[test]
     fn ratchet_gates_only_quick_scale() {
-        assert_eq!(ratchet_verdict("standard", Some(100.0), 1.0), None);
-        assert_eq!(ratchet_verdict("full", None, 1.0), None);
-        assert!(ratchet_verdict("quick", Some(100.0), 100.0).is_some());
+        assert!(!key("standard").gated());
+        assert!(!key("full").gated());
+        assert!(key("quick").gated());
     }
 
     #[test]
     fn ratchet_accepts_within_tolerance_and_fails_below() {
         // 10% tolerance on a 100 ops/s baseline: floor is 90.
-        match ratchet_verdict("quick", Some(100.0), 91.0) {
-            Some(Ratchet::Ok { prev, floor }) => {
+        match Verdict::judge(Some(100.0), 91.0, RATCHET_TOLERANCE) {
+            Verdict::Ok { prev, floor, .. } => {
                 assert_eq!(prev, 100.0);
                 assert!((floor - 90.0).abs() < 1e-9);
             }
             other => panic!("expected Ok, got {other:?}"),
         }
         assert!(matches!(
-            ratchet_verdict("quick", Some(100.0), 89.0),
-            Some(Ratchet::Regression { .. })
+            Verdict::judge(Some(100.0), 89.0, RATCHET_TOLERANCE),
+            Verdict::Regression { .. }
         ));
         // Improvements obviously pass.
         assert!(matches!(
-            ratchet_verdict("quick", Some(100.0), 250.0),
-            Some(Ratchet::Ok { .. })
+            Verdict::judge(Some(100.0), 250.0, RATCHET_TOLERANCE),
+            Verdict::Ok { .. }
         ));
     }
 
     #[test]
     fn missing_baseline_is_distinct_from_both_pass_and_regression() {
-        let v = ratchet_verdict("quick", None, 1e9);
-        assert_eq!(v, Some(Ratchet::NoBaseline));
+        let v = Verdict::judge(None, 1e9, RATCHET_TOLERANCE);
+        assert_eq!(v, Verdict::NoBaseline);
         assert_ne!(EXIT_NO_BASELINE, 0, "vacuous pass must not exit 0");
         assert_ne!(
             EXIT_NO_BASELINE, EXIT_REGRESSION,
             "CI must be able to tell 'got slower' from 'measured nothing'"
         );
+        assert_eq!(v.exit_code(), EXIT_NO_BASELINE);
     }
 
     #[test]
     fn writer_line_matches_its_own_history_key() {
-        // Mirrors the format string in main(): if the writer's shape
-        // drifts away from what HistoryKey::matches can parse, the ratchet
-        // silently loses its baseline — catch that here.
-        let line = format!(
-            "{{\"epoch_secs\": 1754600000, \"bench\": \"sim\", \"scale\": \"quick\", \
-             \"jobs\": 4, \
-             \"total_mem_ops\": 936000, \"total_wall_seconds\": 12.500000, \
-             \"total_mem_ops_per_sec\": 74880.0, \
-             \"note\": \"commit abc, cfg-fp {:016x}\"}}",
-            0xffu64
-        );
-        let key = HistoryKey {
-            bench: "sim".to_owned(),
-            scale: "quick".to_owned(),
-            jobs: 4,
-            cfg_fp: 0xff,
-        };
-        assert!(key.matches(&line));
-        assert_eq!(key.latest_rate(&line, "total_mem_ops_per_sec"), Some(74880.0));
-        let kv = HistoryKey { bench: "kv".to_owned(), ..key };
-        assert!(!kv.matches(&line), "kv ratchet must not see sim entries");
+        // The line main() appends: if the writer's shape drifts away from
+        // what HistoryKey::matches reads, the ratchet silently loses its
+        // baseline — catch that here.
+        let k = key("quick");
+        let line = k
+            .line("total_mem_ops_per_sec", 74880.0, history_fields(936_000, 12.5), Verdict::NoBaseline)
+            .write();
+        let entry = json::parse(&line).expect("writer line parses");
+        assert!(k.matches(&entry));
+        assert_eq!(k.baseline(&line, "total_mem_ops_per_sec"), Some(74880.0));
+        let kv = HistoryKey { bench: "kv".to_owned(), ..k };
+        assert!(!kv.matches(&entry), "kv ratchet must not see sim entries");
     }
 }

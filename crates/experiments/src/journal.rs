@@ -9,16 +9,12 @@
 //! interrupted-then-resumed sweep produces byte-identical output to an
 //! uninterrupted one.
 //!
-//! The workspace's vendored `serde` is a compile-only shim (no runtime
-//! serialization), so the codec here is hand-rolled: a tiny JSON writer and
-//! a recursive-descent reader covering exactly the subset
-//! [`ir_oram::SimReport`] needs (objects, arrays, unsigned integers,
-//! escaped strings, `null`). Unknown object keys are ignored on read and
+//! Each line is one [`crate::json`] object: the fingerprint and the full
+//! [`ir_oram::SimReport`]. Unknown object keys are ignored on read and
 //! malformed lines are skipped, so journals survive schema drift and torn
 //! final writes.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -27,6 +23,8 @@ use ir_oram::{
     FaultStats, RunLimit, Scheme, SimReport, StashPressure, SystemConfig, ALL_SCHEMES,
 };
 use iroram_trace::Bench;
+
+use crate::json::{self, Json};
 
 /// Fingerprints one simulation cell: every input that determines its
 /// report, hashed with FNV-1a over a field-by-field rendering.
@@ -201,519 +199,126 @@ impl Journal {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
+/// A type the journal stores: one JSON encoding and its inverse.
+trait Codec: Sized {
+    fn encode(&self) -> Json;
+    fn decode(j: &Json) -> Option<Self>;
+}
+
+impl Codec for u64 {
+    fn encode(&self) -> Json {
+        Json::from(*self)
+    }
+    fn decode(j: &Json) -> Option<Self> {
+        j.as_u64()
+    }
+}
+
+impl Codec for String {
+    fn encode(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn decode(j: &Json) -> Option<Self> {
+        j.as_str().map(str::to_owned)
+    }
+}
+
+impl Codec for Scheme {
+    fn encode(&self) -> Json {
+        Json::from(self.name())
+    }
+    fn decode(j: &Json) -> Option<Self> {
+        ALL_SCHEMES.into_iter().find(|s| Some(s.name()) == j.as_str())
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self) -> Json {
+        Json::Arr(self.iter().map(T::encode).collect())
+    }
+    fn decode(j: &Json) -> Option<Self> {
+        match j {
+            Json::Arr(items) => items.iter().map(T::decode).collect(),
+            _ => None,
+        }
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::encode)
+    }
+    fn decode(j: &Json) -> Option<Self> {
+        match j {
+            Json::Null => Some(None),
+            j => T::decode(j).map(Some),
+        }
+    }
+}
+
+/// Field `key` of `obj`, or `default` when the key is absent.
+fn field<T: Codec>(obj: &Json, key: &str, default: Option<T>) -> Option<T> {
+    obj.get(key).map_or(default, T::decode)
+}
+
+/// Implements [`Codec`] for a struct as an object keyed by field name.
+/// One field list serves both directions, and the decoder's struct
+/// literal is exhaustive, so a new field that is not listed here fails to
+/// compile. `field = default` marks a field that older journals lack.
+macro_rules! struct_codec {
+    ($ty:path { $($f:ident $(= $default:expr)?),* $(,)? }) => {
+        impl Codec for $ty {
+            fn encode(&self) -> Json {
+                Json::obj(vec![$((stringify!($f), self.$f.encode())),*])
+            }
+            fn decode(j: &Json) -> Option<Self> {
+                Some(Self { $($f: field(j, stringify!($f), None $(.or(Some($default)))?)?),* })
+            }
+        }
+    };
+}
+
+struct_codec!(SimReport {
+    scheme, workload, cycles, instructions, mem_ops, protocol, protocol_small, slots, dram,
+    hierarchy, dwb, faults, stash,
+});
+struct_codec!(iroram_protocol::ProtocolStats {
+    accesses, fstash_hits, sstash_hits, escrow_hits, treetop_hits, pos1_paths, pos2_paths,
+    data_paths, bg_evict_paths, dummy_paths, served_level, served_stash, blocks_from_memory,
+    blocks_to_memory, sstash_rejects, delayed_inserts,
+});
+struct_codec!(ir_oram::SlotStats {
+    total_slots, real_slots, bg_slots, dummy_slots, converted_slots,
+});
+struct_codec!(iroram_dram::DramStats {
+    row_hits, row_empties, row_conflicts, requests, reads, writes, total_latency,
+    bus_busy_cycles, last_completion,
+});
+struct_codec!(iroram_cache::HierarchyStats {
+    accesses, reads, writes, l1_hits, llc_hits, misses, read_misses, write_misses,
+    dirty_writebacks,
+});
+struct_codec!(ir_oram::DwbStats {
+    converted_slots, converted_posmap, converted_data, completed, aborted,
+});
+struct_codec!(FaultStats {
+    injected_corruptions, detected, recovered, undetected, bank_stalls, stall_cycles, storms,
+    mangled_records, rejected_records, refetch_penalty_cycles,
+});
+// Journals written before degradation accounting lack the last two.
+struct_codec!(StashPressure {
+    soft_capacity, max_occupancy, overflow_slots, bg_escalations, degraded_slots = 0,
+    throttled_admissions = 0,
+});
 
 fn encode_line(fp: u64, r: &SimReport) -> String {
-    let mut s = String::with_capacity(1024);
-    let _ = write!(s, "{{\"fp\":\"{fp:016x}\",\"report\":");
-    encode_report(&mut s, r);
-    s.push('}');
-    s
-}
-
-fn encode_report(s: &mut String, r: &SimReport) {
-    s.push('{');
-    kv_str(s, "scheme", r.scheme.name());
-    s.push(',');
-    kv_str(s, "workload", &r.workload);
-    s.push(',');
-    kv_u64(s, "cycles", r.cycles);
-    s.push(',');
-    kv_u64(s, "instructions", r.instructions);
-    s.push(',');
-    kv_u64(s, "mem_ops", r.mem_ops);
-    s.push(',');
-    key(s, "protocol");
-    encode_protocol(s, &r.protocol);
-    s.push(',');
-    key(s, "protocol_small");
-    match &r.protocol_small {
-        Some(p) => encode_protocol(s, p),
-        None => s.push_str("null"),
-    }
-    s.push(',');
-    key(s, "slots");
-    s.push('{');
-    kv_u64(s, "total_slots", r.slots.total_slots);
-    s.push(',');
-    kv_u64(s, "real_slots", r.slots.real_slots);
-    s.push(',');
-    kv_u64(s, "bg_slots", r.slots.bg_slots);
-    s.push(',');
-    kv_u64(s, "dummy_slots", r.slots.dummy_slots);
-    s.push(',');
-    kv_u64(s, "converted_slots", r.slots.converted_slots);
-    s.push_str("},");
-    key(s, "dram");
-    s.push('{');
-    kv_u64(s, "row_hits", r.dram.row_hits);
-    s.push(',');
-    kv_u64(s, "row_empties", r.dram.row_empties);
-    s.push(',');
-    kv_u64(s, "row_conflicts", r.dram.row_conflicts);
-    s.push(',');
-    kv_u64(s, "requests", r.dram.requests);
-    s.push(',');
-    kv_u64(s, "reads", r.dram.reads);
-    s.push(',');
-    kv_u64(s, "writes", r.dram.writes);
-    s.push(',');
-    kv_u64(s, "total_latency", r.dram.total_latency);
-    s.push(',');
-    kv_u64(s, "bus_busy_cycles", r.dram.bus_busy_cycles);
-    s.push(',');
-    kv_u64(s, "last_completion", r.dram.last_completion);
-    s.push_str("},");
-    key(s, "hierarchy");
-    s.push('{');
-    kv_u64(s, "accesses", r.hierarchy.accesses);
-    s.push(',');
-    kv_u64(s, "reads", r.hierarchy.reads);
-    s.push(',');
-    kv_u64(s, "writes", r.hierarchy.writes);
-    s.push(',');
-    kv_u64(s, "l1_hits", r.hierarchy.l1_hits);
-    s.push(',');
-    kv_u64(s, "llc_hits", r.hierarchy.llc_hits);
-    s.push(',');
-    kv_u64(s, "misses", r.hierarchy.misses);
-    s.push(',');
-    kv_u64(s, "read_misses", r.hierarchy.read_misses);
-    s.push(',');
-    kv_u64(s, "write_misses", r.hierarchy.write_misses);
-    s.push(',');
-    kv_u64(s, "dirty_writebacks", r.hierarchy.dirty_writebacks);
-    s.push_str("},");
-    key(s, "dwb");
-    match &r.dwb {
-        Some(d) => {
-            s.push('{');
-            kv_u64(s, "converted_slots", d.converted_slots);
-            s.push(',');
-            kv_u64(s, "converted_posmap", d.converted_posmap);
-            s.push(',');
-            kv_u64(s, "converted_data", d.converted_data);
-            s.push(',');
-            kv_u64(s, "completed", d.completed);
-            s.push(',');
-            kv_u64(s, "aborted", d.aborted);
-            s.push('}');
-        }
-        None => s.push_str("null"),
-    }
-    s.push(',');
-    key(s, "faults");
-    s.push('{');
-    kv_u64(s, "injected_corruptions", r.faults.injected_corruptions);
-    s.push(',');
-    kv_u64(s, "detected", r.faults.detected);
-    s.push(',');
-    kv_u64(s, "recovered", r.faults.recovered);
-    s.push(',');
-    kv_u64(s, "undetected", r.faults.undetected);
-    s.push(',');
-    kv_u64(s, "bank_stalls", r.faults.bank_stalls);
-    s.push(',');
-    kv_u64(s, "stall_cycles", r.faults.stall_cycles);
-    s.push(',');
-    kv_u64(s, "storms", r.faults.storms);
-    s.push(',');
-    kv_u64(s, "mangled_records", r.faults.mangled_records);
-    s.push(',');
-    kv_u64(s, "rejected_records", r.faults.rejected_records);
-    s.push(',');
-    kv_u64(s, "refetch_penalty_cycles", r.faults.refetch_penalty_cycles);
-    s.push_str("},");
-    key(s, "stash");
-    s.push('{');
-    kv_u64(s, "soft_capacity", r.stash.soft_capacity);
-    s.push(',');
-    kv_u64(s, "max_occupancy", r.stash.max_occupancy);
-    s.push(',');
-    kv_u64(s, "overflow_slots", r.stash.overflow_slots);
-    s.push(',');
-    kv_u64(s, "bg_escalations", r.stash.bg_escalations);
-    s.push(',');
-    kv_u64(s, "degraded_slots", r.stash.degraded_slots);
-    s.push(',');
-    kv_u64(s, "throttled_admissions", r.stash.throttled_admissions);
-    s.push_str("}}");
-}
-
-fn encode_protocol(s: &mut String, p: &iroram_protocol::ProtocolStats) {
-    s.push('{');
-    kv_u64(s, "accesses", p.accesses);
-    s.push(',');
-    kv_u64(s, "fstash_hits", p.fstash_hits);
-    s.push(',');
-    kv_u64(s, "sstash_hits", p.sstash_hits);
-    s.push(',');
-    kv_u64(s, "escrow_hits", p.escrow_hits);
-    s.push(',');
-    kv_u64(s, "treetop_hits", p.treetop_hits);
-    s.push(',');
-    kv_u64(s, "pos1_paths", p.pos1_paths);
-    s.push(',');
-    kv_u64(s, "pos2_paths", p.pos2_paths);
-    s.push(',');
-    kv_u64(s, "data_paths", p.data_paths);
-    s.push(',');
-    kv_u64(s, "bg_evict_paths", p.bg_evict_paths);
-    s.push(',');
-    kv_u64(s, "dummy_paths", p.dummy_paths);
-    s.push(',');
-    key(s, "served_level");
-    s.push('[');
-    for (i, v) in p.served_level.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{v}");
-    }
-    s.push_str("],");
-    kv_u64(s, "served_stash", p.served_stash);
-    s.push(',');
-    kv_u64(s, "blocks_from_memory", p.blocks_from_memory);
-    s.push(',');
-    kv_u64(s, "blocks_to_memory", p.blocks_to_memory);
-    s.push(',');
-    kv_u64(s, "sstash_rejects", p.sstash_rejects);
-    s.push(',');
-    kv_u64(s, "delayed_inserts", p.delayed_inserts);
-    s.push('}');
-}
-
-fn key(s: &mut String, k: &str) {
-    let _ = write!(s, "\"{k}\":");
-}
-
-fn kv_u64(s: &mut String, k: &str, v: u64) {
-    let _ = write!(s, "\"{k}\":{v}");
-}
-
-fn kv_str(s: &mut String, k: &str, v: &str) {
-    let _ = write!(s, "\"{k}\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------------
-
-/// The JSON value subset the journal emits.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Num(u64),
-    Str(String),
-    Null,
-}
-
-impl Json {
-    fn get(&self, k: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(n, _)| n == k).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn u64(&self, k: &str) -> Option<u64> {
-        match self.get(k)? {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn str(&self, k: &str) -> Option<&str> {
-        match self.get(k)? {
-            Json::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        (self.peek()? == c).then(|| self.pos += 1)
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b'n' => {
-                let rest = self.bytes.get(self.pos..self.pos + 4)?;
-                (rest == b"null").then(|| {
-                    self.pos += 4;
-                    Json::Null
-                })
-            }
-            b'0'..=b'9' => self.number().map(Json::Num),
-            _ => None,
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            let k = self.string()?;
-            self.eat(b':')?;
-            let v = self.value()?;
-            fields.push((k, v));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Some(Json::Obj(fields));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Some(Json::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            match c {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let e = *self.bytes.get(self.pos)?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                c => {
-                    // Multi-byte UTF-8: copy the remaining continuation
-                    // bytes of this character verbatim.
-                    let len = match c {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let chunk = self.bytes.get(start..start + len)?;
-                    self.pos = start + len;
-                    out.push_str(std::str::from_utf8(chunk).ok()?);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_digit)
-        {
-            self.pos += 1;
-        }
-        (self.pos > start)
-            .then(|| std::str::from_utf8(&self.bytes[start..self.pos]).ok())??
-            .parse()
-            .ok()
-    }
+    Json::obj(vec![("fp", Json::Str(format!("{fp:016x}"))), ("report", r.encode())]).write()
 }
 
 fn decode_line(line: &str) -> Option<(u64, SimReport)> {
-    let v = Parser::new(line).value()?;
-    let fp = u64::from_str_radix(v.str("fp")?, 16).ok()?;
-    let report = decode_report(v.get("report")?)?;
-    Some((fp, report))
-}
-
-fn scheme_by_name(name: &str) -> Option<Scheme> {
-    ALL_SCHEMES.into_iter().find(|s| s.name() == name)
-}
-
-fn decode_report(v: &Json) -> Option<SimReport> {
-    let slots = v.get("slots")?;
-    let dram = v.get("dram")?;
-    let h = v.get("hierarchy")?;
-    let f = v.get("faults")?;
-    let st = v.get("stash")?;
-    Some(SimReport {
-        scheme: scheme_by_name(v.str("scheme")?)?,
-        workload: v.str("workload")?.to_owned(),
-        cycles: v.u64("cycles")?,
-        instructions: v.u64("instructions")?,
-        mem_ops: v.u64("mem_ops")?,
-        protocol: decode_protocol(v.get("protocol")?)?,
-        protocol_small: match v.get("protocol_small")? {
-            Json::Null => None,
-            p => Some(decode_protocol(p)?),
-        },
-        slots: ir_oram::SlotStats {
-            total_slots: slots.u64("total_slots")?,
-            real_slots: slots.u64("real_slots")?,
-            bg_slots: slots.u64("bg_slots")?,
-            dummy_slots: slots.u64("dummy_slots")?,
-            converted_slots: slots.u64("converted_slots")?,
-        },
-        dram: iroram_dram::DramStats {
-            row_hits: dram.u64("row_hits")?,
-            row_empties: dram.u64("row_empties")?,
-            row_conflicts: dram.u64("row_conflicts")?,
-            requests: dram.u64("requests")?,
-            reads: dram.u64("reads")?,
-            writes: dram.u64("writes")?,
-            total_latency: dram.u64("total_latency")?,
-            bus_busy_cycles: dram.u64("bus_busy_cycles")?,
-            last_completion: dram.u64("last_completion")?,
-        },
-        hierarchy: iroram_cache::HierarchyStats {
-            accesses: h.u64("accesses")?,
-            reads: h.u64("reads")?,
-            writes: h.u64("writes")?,
-            l1_hits: h.u64("l1_hits")?,
-            llc_hits: h.u64("llc_hits")?,
-            misses: h.u64("misses")?,
-            read_misses: h.u64("read_misses")?,
-            write_misses: h.u64("write_misses")?,
-            dirty_writebacks: h.u64("dirty_writebacks")?,
-        },
-        dwb: match v.get("dwb")? {
-            Json::Null => None,
-            d => Some(ir_oram::DwbStats {
-                converted_slots: d.u64("converted_slots")?,
-                converted_posmap: d.u64("converted_posmap")?,
-                converted_data: d.u64("converted_data")?,
-                completed: d.u64("completed")?,
-                aborted: d.u64("aborted")?,
-            }),
-        },
-        faults: FaultStats {
-            injected_corruptions: f.u64("injected_corruptions")?,
-            detected: f.u64("detected")?,
-            recovered: f.u64("recovered")?,
-            undetected: f.u64("undetected")?,
-            bank_stalls: f.u64("bank_stalls")?,
-            stall_cycles: f.u64("stall_cycles")?,
-            storms: f.u64("storms")?,
-            mangled_records: f.u64("mangled_records")?,
-            rejected_records: f.u64("rejected_records")?,
-            refetch_penalty_cycles: f.u64("refetch_penalty_cycles")?,
-        },
-        stash: StashPressure {
-            soft_capacity: st.u64("soft_capacity")?,
-            max_occupancy: st.u64("max_occupancy")?,
-            overflow_slots: st.u64("overflow_slots")?,
-            bg_escalations: st.u64("bg_escalations")?,
-            // Absent in journals written before degradation accounting.
-            degraded_slots: st.u64("degraded_slots").unwrap_or(0),
-            throttled_admissions: st.u64("throttled_admissions").unwrap_or(0),
-        },
-    })
-}
-
-fn decode_protocol(v: &Json) -> Option<iroram_protocol::ProtocolStats> {
-    let levels = match v.get("served_level")? {
-        Json::Arr(items) => items
-            .iter()
-            .map(|j| match j {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            })
-            .collect::<Option<Vec<u64>>>()?,
-        _ => return None,
-    };
-    Some(iroram_protocol::ProtocolStats {
-        accesses: v.u64("accesses")?,
-        fstash_hits: v.u64("fstash_hits")?,
-        sstash_hits: v.u64("sstash_hits")?,
-        escrow_hits: v.u64("escrow_hits")?,
-        treetop_hits: v.u64("treetop_hits")?,
-        pos1_paths: v.u64("pos1_paths")?,
-        pos2_paths: v.u64("pos2_paths")?,
-        data_paths: v.u64("data_paths")?,
-        bg_evict_paths: v.u64("bg_evict_paths")?,
-        dummy_paths: v.u64("dummy_paths")?,
-        served_level: levels,
-        served_stash: v.u64("served_stash")?,
-        blocks_from_memory: v.u64("blocks_from_memory")?,
-        blocks_to_memory: v.u64("blocks_to_memory")?,
-        sstash_rejects: v.u64("sstash_rejects")?,
-        delayed_inserts: v.u64("delayed_inserts")?,
-    })
+    let v = json::parse(line)?;
+    let fp = u64::from_str_radix(v.get("fp")?.as_str()?, 16).ok()?;
+    Some((fp, SimReport::decode(v.get("report")?)?))
 }
 
 #[cfg(test)]
@@ -739,6 +344,36 @@ mod tests {
         let (fp, back) = decode_line(&line).expect("decodes");
         assert_eq!(fp, 7);
         assert_eq!(format!("{back:?}"), format!("{r:?}"));
+    }
+
+    #[test]
+    fn escaped_workload_and_u64_max_round_trip() {
+        let mut r = small_report();
+        r.workload = "q\"uote b\\ack\ttab é€😀".to_owned();
+        r.dram.total_latency = u64::MAX;
+        let (_, back) = decode_line(&encode_line(u64::MAX, &r)).expect("decodes");
+        assert_eq!(back.workload, r.workload);
+        assert_eq!(back.dram.total_latency, u64::MAX);
+        assert_eq!(format!("{back:?}"), format!("{r:?}"));
+    }
+
+    /// A line as the previous hand-rolled writer emitted it (fig2
+    /// `--quick`, first cell).
+    const LEGACY_LINE: &str = r#"{"fp":"233a5e4795b9e0f8","report":{"scheme":"Baseline","workload":"ima","cycles":101084,"instructions":82988,"mem_ops":4000,"protocol":{"accesses":0,"fstash_hits":0,"sstash_hits":0,"escrow_hits":0,"treetop_hits":0,"pos1_paths":32,"pos2_paths":2,"data_paths":143,"bg_evict_paths":0,"dummy_paths":15,"served_level":[0,0,0,0,0,0,0,1,1,3,14,158],"served_stash":0,"blocks_from_memory":6144,"blocks_to_memory":6144,"sstash_rejects":0,"delayed_inserts":0},"protocol_small":null,"slots":{"total_slots":192,"real_slots":177,"bg_slots":0,"dummy_slots":15,"converted_slots":0},"dram":{"row_hits":11452,"row_empties":32,"row_conflicts":804,"requests":12288,"reads":6144,"writes":6144,"total_latency":1077420,"bus_busy_cycles":49152,"last_completion":25271},"hierarchy":{"accesses":4000,"reads":2671,"writes":1329,"l1_hits":3776,"llc_hits":82,"misses":142,"read_misses":19,"write_misses":123,"dirty_writebacks":1},"dwb":null,"faults":{"injected_corruptions":0,"detected":0,"recovered":0,"undetected":0,"bank_stalls":0,"stall_cycles":0,"storms":0,"mangled_records":0,"rejected_records":0,"refetch_penalty_cycles":0},"stash":{"soft_capacity":200,"max_occupancy":21,"overflow_slots":0,"bg_escalations":0,"degraded_slots":0,"throttled_admissions":0}}}"#;
+
+    #[test]
+    fn legacy_writer_lines_still_decode() {
+        let (fp, r) = decode_line(LEGACY_LINE).expect("decodes");
+        assert_eq!(fp, 0x233a_5e47_95b9_e0f8);
+        assert_eq!((r.scheme, r.workload.as_str(), r.cycles), (Scheme::Baseline, "ima", 101_084));
+        assert_eq!(r.protocol.served_level.len(), 12);
+        // The codec writes the same bytes the old writer did.
+        assert_eq!(encode_line(fp, &r), LEGACY_LINE);
+        // Journals from before degradation accounting lack two stash keys.
+        let older = LEGACY_LINE.replace(",\"degraded_slots\":0,\"throttled_admissions\":0", "");
+        assert_ne!(older, LEGACY_LINE);
+        let (_, r2) = decode_line(&older).expect("decodes without degraded_slots");
+        assert_eq!(format!("{r2:?}"), format!("{r:?}"));
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod fig4;
 pub mod fig6;
 pub mod history;
 pub mod journal;
+pub mod json;
 pub mod render;
 pub mod runner;
 pub mod table1;
