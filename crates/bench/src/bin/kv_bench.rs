@@ -63,15 +63,30 @@ struct BenchOptions {
     seed: u64,
 }
 
+const USAGE: &str = "usage: kv_bench [--quick|--full] [--keys N] [--ops N] [--seed N]";
+
 impl BenchOptions {
-    fn from_args() -> Self {
+    /// Parses an argument list (`--quick`/`--full`, `--keys N`, `--ops N`,
+    /// `--seed N`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unrecognized argument or
+    /// malformed/missing flag value.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        fn num(args: &[String], i: usize, flag: &str) -> Result<u64, String> {
+            let v = args
+                .get(i)
+                .ok_or_else(|| format!("{flag} requires a value"))?;
+            v.parse()
+                .map_err(|_| format!("{flag} expects a number, got `{v}`"))
+        }
         let mut o = BenchOptions {
             scale: "standard",
             keys: 262_144,
             mixed_ops: 131_072,
             seed: 0xC0FFEE,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
@@ -87,30 +102,24 @@ impl BenchOptions {
                 }
                 "--keys" => {
                     i += 1;
-                    o.keys = args[i].parse().expect("--keys N");
+                    o.keys = num(args, i, "--keys")?;
                     o.scale = "custom";
                 }
                 "--ops" => {
                     i += 1;
-                    o.mixed_ops = args[i].parse().expect("--ops N");
+                    o.mixed_ops = num(args, i, "--ops")?;
                     o.scale = "custom";
                 }
                 "--seed" => {
                     i += 1;
-                    o.seed = args[i].parse().expect("--seed N");
+                    o.seed = num(args, i, "--seed")?;
                     o.scale = "custom";
                 }
-                other => {
-                    eprintln!(
-                        "unrecognized argument `{other}`\n\
-                         usage: kv_bench [--quick|--full] [--keys N] [--ops N] [--seed N]"
-                    );
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unrecognized argument `{other}`")),
             }
             i += 1;
         }
-        o
+        Ok(o)
     }
 }
 
@@ -328,7 +337,11 @@ fn workload_fp(cfg: &KvConfig, opts: &BenchOptions) -> u64 {
 }
 
 fn main() {
-    let opts = BenchOptions::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = BenchOptions::parse(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\n{USAGE}");
+        std::process::exit(2);
+    });
     println!(
         "kv_bench: {} keys, {} mixed ops/phase (uniform + zipf {ZIPF_S}), scale {}",
         opts.keys, opts.mixed_ops, opts.scale
@@ -416,4 +429,38 @@ fn main() {
     // line was appended above, so the next run has one).
     let (key, verdict) = &judged[1];
     key.enforce("kv ratchet", *verdict);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchOptions, String> {
+        let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        BenchOptions::parse(&args)
+    }
+
+    #[test]
+    fn numeric_flags_parse_and_mark_the_scale_custom() {
+        let o = parse(&["--quick", "--keys", "64", "--ops", "128", "--seed", "7"]).unwrap();
+        assert_eq!((o.keys, o.mixed_ops, o.seed), (64, 128, 7));
+        assert_eq!(o.scale, "custom");
+        assert_eq!(parse(&["--quick"]).unwrap().scale, "quick");
+    }
+
+    /// A missing or malformed value is a typed error naming the flag, not
+    /// an index-out-of-bounds or parse panic.
+    #[test]
+    fn missing_or_malformed_values_are_errors() {
+        for flag in ["--keys", "--ops", "--seed"] {
+            let missing = parse(&["--quick", flag]).unwrap_err();
+            assert_eq!(missing, format!("{flag} requires a value"));
+            let malformed = parse(&[flag, "many"]).unwrap_err();
+            assert_eq!(malformed, format!("{flag} expects a number, got `many`"));
+        }
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unrecognized argument `--bogus`"
+        );
+    }
 }

@@ -1,7 +1,6 @@
 //! Per-bank row-buffer state machine.
 
 use iroram_sim_engine::{Cycle, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::DramTimings;
 
@@ -12,7 +11,7 @@ use crate::DramTimings;
 /// one read or write to the bank, returning the cycle at which the request's
 /// data transfer may begin (before bus arbitration) and whether it was a row
 /// hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankState {
     open_row: Option<u64>,
     /// Earliest cycle the next activate may issue (tRC / tRP chains).

@@ -1,12 +1,11 @@
 //! The top-level DRAM system: channels, scheduling, statistics.
 
 use iroram_sim_engine::{Cycle, SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::{AddressMapping, BankState, DecodedAddr, DramTimings};
 
 /// A single cache-line memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Flat line address (one unit = one 64 B line).
     pub line_addr: u64,
@@ -37,7 +36,7 @@ impl MemRequest {
 }
 
 /// The completion record for one scheduled request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// Index of the request within its submitted batch.
     pub index: usize,
@@ -48,7 +47,7 @@ pub struct Completion {
 }
 
 /// DRAM system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Address mapping (channels, banks, row size, interleave).
     pub mapping: AddressMapping,
@@ -70,7 +69,7 @@ impl Default for DramConfig {
 }
 
 /// Aggregate statistics over a system's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Requests that hit an open row.
     pub row_hits: u64,

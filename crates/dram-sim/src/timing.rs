@@ -1,7 +1,5 @@
 //! DRAM timing parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// DDR timing constraints, in DRAM clock cycles.
 ///
 /// Defaults model DDR3-1600 (800 MHz bus, 11-11-11-28), matching the paper's
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.cl, 11);
 /// assert!(t.row_cycle() >= t.t_ras + t.t_rp);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTimings {
     /// CAS (read) latency: column command to first data beat.
     pub cl: u64,

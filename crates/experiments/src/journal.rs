@@ -31,8 +31,8 @@ use crate::json::{self, Json};
 ///
 /// The config is destructured **exhaustively** (no `..`): adding a field
 /// to [`SystemConfig`] without extending this key is a compile error, and
-/// the config-drift lint additionally checks that every field name appears
-/// in this function. Structured fields (`oram`, `hierarchy`, `dram`,
+/// `tests/config_fingerprint.rs` checks that every field changes the
+/// fingerprint. Structured fields (`oram`, `hierarchy`, `dram`,
 /// `clock`, `faults`) contribute their full `Debug` rendering.
 pub fn fingerprint(cfg: &SystemConfig, bench: Bench, limit: RunLimit) -> u64 {
     let SystemConfig {

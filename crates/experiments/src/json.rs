@@ -3,7 +3,7 @@
 //!
 //! Its users are the resume journal ([`crate::journal`]), the benchmark
 //! history ([`crate::history`]) and the `perfstat`/`kv_bench` snapshot
-//! files. The vendored `serde` is a compile-only shim, so this module is
+//! files. The workspace has no serialization dependency: this module is
 //! the codec, not a fallback for one.
 //!
 //! Objects keep their keys in insertion order, and a number keeps its

@@ -1,14 +1,12 @@
 //! System configuration and the paper's scheme matrix.
 
-use serde::{Deserialize, Serialize};
-
 use iroram_cache::HierarchyConfig;
 use iroram_dram::DramConfig;
 use iroram_protocol::{AllocPreset, OramConfig, RemapPolicy, TreeTopMode, ZAllocation};
 use iroram_sim_engine::{ClockRatio, FaultConfig};
 
 /// The evaluated configurations (paper Section VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Traditional Path ORAM \[27\] with Freecursive \[8\], ten top tree
     /// levels in a dedicated cache, subtree layout and background eviction
@@ -71,7 +69,7 @@ impl Scheme {
 }
 
 /// Full-system configuration (paper Table I, scaled).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Scheme under evaluation.
     pub scheme: Scheme,
@@ -110,22 +108,18 @@ pub struct SystemConfig {
     /// structural / IR-DWB coherence checks — see [`crate::AuditReport`]).
     /// Audits observe only: every reported number is identical with this
     /// flag on or off.
-    #[serde(default)]
     pub audit: bool,
     /// Fault-injection configuration (all rates zero by default; a zero-rate
     /// config builds no plan and cannot perturb the run in any way).
-    #[serde(default)]
     pub faults: FaultConfig,
     /// CPU cycles charged per detected-and-repaired corrupted bucket — the
     /// modelled cost of re-fetching the bucket from redundancy (IRO's
     /// recovery path). Folded into the path's read-phase completion, so the
     /// timing schedule stretches publicly and stays audit-clean.
-    #[serde(default)]
     pub refetch_lat: u64,
     /// Hard stash limit in blocks (the modelled SRAM's physical size).
     /// `0` means 8 × the soft capacity. Crossing it is a transient
     /// [`crate::SimError::StashOverflow`], not a panic.
-    #[serde(default)]
     pub stash_hard_limit: usize,
     /// Host worker threads for intra-batch DRAM scheduling (`1` = serial,
     /// the default). Purely an execution knob: DRAM channels are
@@ -134,7 +128,6 @@ pub struct SystemConfig {
     /// Batches below [`iroram_dram::DramSystem::PARALLEL_MIN_BATCH`]
     /// requests always schedule serially regardless of this setting
     /// (`0` is clamped to serial at the scheduler).
-    #[serde(default)]
     pub sched_threads: u32,
     /// Access-pipeline depth of the timed controller (`1` = serial, the
     /// default): how many path accesses may be in flight at once. At depth
@@ -144,14 +137,12 @@ pub struct SystemConfig {
     /// in-flight paths that share memory-level buckets serialize at DRAM
     /// (their blocks are held via the stash escrow). `0` is rejected at
     /// `--set` parse time and clamped to `1` by the controllers.
-    #[serde(default)]
     pub pipeline_depth: u32,
     /// Checkpoint interval in path slots (`0` = checkpointing off, the
     /// default). When set, the runner snapshots the complete simulation
     /// state every N slots so a killed run resumes mid-cell and finishes
     /// with a report byte-identical to an uninterrupted one. Purely an
     /// execution knob: it never changes what is simulated.
-    #[serde(default)]
     pub checkpoint_interval: u64,
 }
 
@@ -279,7 +270,7 @@ impl SystemConfig {
 
     /// Sets one scalar field from its CLI spelling (the `--set KEY=VALUE`
     /// override table — every [`SystemConfig`] field has an arm here, which
-    /// is what the config-drift lint checks).
+    /// `tests/config_fingerprint.rs` checks).
     ///
     /// Structured fields (`oram`, `hierarchy`, `dram`, `clock`, `faults`)
     /// are deliberately *not* settable from one `KEY=VALUE` pair; their

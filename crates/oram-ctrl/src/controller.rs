@@ -10,7 +10,6 @@
 use std::collections::VecDeque;
 
 use iroram_cache::MemoryHierarchy;
-use serde::{Deserialize, Serialize};
 use iroram_dram::{DramSystem, MemRequest, PathTable, SubtreeLayout};
 use iroram_protocol::{BlockAddr, IntegrityStats, PathOram, PathRecord, RemapPolicy};
 use iroram_sim_engine::{
@@ -54,7 +53,7 @@ pub struct OramRequest {
 }
 
 /// Slot-level accounting (what each timing-protection slot carried).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Total path slots issued.
     pub total_slots: u64,
@@ -72,7 +71,7 @@ pub struct SlotStats {
 /// background-eviction trigger, not a wall (Stefanov et al. treat overflow
 /// as a probabilistic event); these counters measure how hard the workload
 /// leaned on it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StashPressure {
     /// Configured soft capacity (background-eviction trigger).
     pub soft_capacity: u64,

@@ -8,14 +8,13 @@
 //! candidate stops being the dirty LRU entry or is evicted normally.
 
 use iroram_cache::{DirtyLruScanner, MemoryHierarchy};
-use serde::{Deserialize, Serialize};
 use iroram_protocol::{BlockAddr, PathOram, PathRecord, PlbStatus};
 use iroram_sim_engine::{Cycle, SimRng, SnapError, SnapReader, SnapWriter};
 
 use crate::SimError;
 
 /// Statistics of the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DwbStats {
     /// Dummy slots converted to useful paths.
     pub converted_slots: u64,

@@ -2,8 +2,6 @@
 
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
-
 use iroram_cache::{AccessOutcome, HierarchyStats, MemoryHierarchy};
 use iroram_dram::DramStats;
 use iroram_protocol::{BlockAddr, ProtocolStats};
@@ -36,7 +34,7 @@ pub struct CheckpointSpec {
 }
 
 /// How long to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunLimit {
     /// Memory operations to replay from the workload.
     pub mem_ops: u64,
@@ -51,7 +49,7 @@ impl RunLimit {
 
 /// Fault-injection and integrity accounting for one run. All-zero when no
 /// fault plan was active and the memory image stayed clean.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// DRAM line corruptions injected by the fault plan.
     pub injected_corruptions: u64,
@@ -76,7 +74,7 @@ pub struct FaultStats {
 }
 
 /// Results of one full-system run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Scheme simulated.
     pub scheme: Scheme,
@@ -101,10 +99,8 @@ pub struct SimReport {
     /// IR-DWB statistics, when the engine ran.
     pub dwb: Option<DwbStats>,
     /// Fault-injection and integrity accounting (all-zero when clean).
-    #[serde(default)]
     pub faults: FaultStats,
     /// Stash pressure observed over the run.
-    #[serde(default)]
     pub stash: StashPressure,
 }
 

@@ -1,7 +1,5 @@
 //! Logical geometry of the ORAM tree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Leaf, ZAllocation};
 
 /// The logical geometry of an ORAM tree: level count, per-level bucket
@@ -21,7 +19,7 @@ use crate::{Leaf, ZAllocation};
 /// assert_eq!(layout.bucket_on_path(Leaf(5), 3), 5);
 /// assert_eq!(layout.common_depth(Leaf(5), Leaf(4)), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeLayout {
     zalloc: ZAllocation,
     level_base: Vec<u64>,

@@ -18,8 +18,6 @@
 //! which is exactly the accounting the paper uses (PosMap paths arise only
 //! from PLB misses).
 
-use serde::{Deserialize, Serialize};
-
 use iroram_cache::{CacheConfig, SetAssocCache};
 use iroram_sim_engine::{SimRng, SnapError, SnapReader, SnapWriter};
 
@@ -47,7 +45,7 @@ const UNMAPPED: u64 = u64::MAX;
 /// assert_eq!(s.n_pm2(), 16);
 /// assert_eq!(s.total_blocks(), 4096 + 256 + 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressSpace {
     n_data: u64,
     n_pm1: u64,
@@ -123,7 +121,7 @@ impl AddressSpace {
 }
 
 /// How far PLB state can translate a data address right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlbStatus {
     /// PosMap₁ block resident: translation is free.
     Hit,

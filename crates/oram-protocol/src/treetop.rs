@@ -16,8 +16,6 @@
 
 use std::cell::RefCell;
 
-use serde::{Deserialize, Serialize};
-
 use iroram_hash::md5_u64;
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
 
@@ -128,7 +126,7 @@ fn node_code(level: usize, bucket: u64) -> usize {
 }
 
 /// The dedicated tree-top cache design (Wang et al. \[32\], Baseline here).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DedicatedTreeTop {
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cached_levels: usize,
@@ -306,7 +304,7 @@ impl TreeTopStore for DedicatedTreeTop {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct SEntry {
     block: StoredBlock,
     level: u16,
@@ -322,7 +320,7 @@ struct SEntry {
 /// full even though the bucket has room — the structural cost of set
 /// associativity that [`TreeTopStore::can_accept`] exposes to the write
 /// planner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IrStashTop {
     // lint: allow(snapshot-drift, configuration, fixed at construction for the whole run)
     cached_levels: usize,

@@ -1,7 +1,6 @@
 //! Core protocol value types.
 
 use iroram_sim_engine::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A block address in the unified (Freecursive-merged) block address space.
@@ -9,9 +8,7 @@ use std::fmt;
 /// Data blocks occupy `[0, n_data)`; PosMap₁ blocks follow them; PosMap₂
 /// blocks follow those (see [`crate::AddressSpace`]). One block = one 64 B
 /// cache line in the paper's configuration.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(pub u64);
 
 impl fmt::Display for BlockAddr {
@@ -29,9 +26,7 @@ impl From<u64> for BlockAddr {
 /// A path identifier: the index of a leaf bucket, in `[0, 2^(L-1))` for an
 /// `L`-level tree. Accessing path `l` touches every bucket from the root to
 /// leaf `l`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Leaf(pub u64);
 
 impl fmt::Display for Leaf {
@@ -47,7 +42,7 @@ impl From<u64> for Leaf {
 }
 
 /// What role a block address plays in the Freecursive-merged tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// User data block.
     Data,
@@ -62,7 +57,7 @@ pub enum BlockKind {
 /// The `payload` carries user data through the protocol so correctness tests
 /// can verify read-your-writes end to end; it is stored "encrypted" (a keyed
 /// permutation) inside the tree by the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredBlock {
     /// The block's address.
     pub addr: BlockAddr,
@@ -104,7 +99,7 @@ impl StoredBlock {
 /// of a particular path access outside of the TCB"). The obliviousness tests
 /// assert that the externally visible trace — leaf choice and per-level
 /// block counts — has the same distribution for every variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PathType {
     /// `PT_p` fetching a PosMap₁ block (paper's "Pos1").
     Pos1,
@@ -128,7 +123,7 @@ impl PathType {
 }
 
 /// One path access performed by the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathRecord {
     /// The leaf (path ID) accessed.
     pub leaf: Leaf,
@@ -146,7 +141,7 @@ pub struct PathRecord {
 /// [`PathList::INLINE`] entries. Dereferences to `[PathRecord]`, so slice
 /// reads (`first`, `len`, indexing, iteration) look exactly like the old
 /// `Vec` field.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct PathList {
     len: u8,
     inline: [PathRecord; Self::INLINE],
@@ -276,7 +271,7 @@ impl Iterator for PathListIter {
 }
 
 /// Where a requested block was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServedFrom {
     /// The small fully-associative stash (F-Stash).
     FStash,

@@ -13,13 +13,11 @@
 //!   within 1% and background-eviction increase within 15% on random traces
 //!   (the worst case for middle-level utilization).
 
-use serde::{Deserialize, Serialize};
-
 use crate::controller::{OramConfig, PathOram};
 use iroram_sim_engine::SimRng;
 
 /// Named allocation strategies from the paper's evaluation (Section VI-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocPreset {
     /// Uniform `Z=4` (the Baseline).
     Baseline,
@@ -45,7 +43,7 @@ pub enum AllocPreset {
 /// let a = ZAllocation::preset(iroram_protocol::zalloc_preset::IR_ALLOC1, 25, 10);
 /// assert_eq!(a.path_len(10), 43);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZAllocation {
     z: Vec<u32>,
 }
@@ -265,7 +263,7 @@ impl ZAllocation {
 }
 
 /// Result of [`ZAllocation::greedy_search`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GreedySearchOutcome {
     /// The allocation the search settled on.
     pub chosen: ZAllocation,

@@ -31,15 +31,13 @@
 //!   the record's address is replaced with an out-of-range value (models a
 //!   corrupted trace file the front end must reject gracefully).
 
-use serde::{Deserialize, Serialize};
-
 use crate::checkpoint::{SnapError, SnapReader, SnapWriter};
 use crate::SimRng;
 
 /// Fault rates and magnitudes. Plain data, defaulting to all-zero (no
 /// faults). Wire it through the system configuration; build a [`FaultPlan`]
 /// from it at simulation start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Salt mixed into the plan's RNG stream (lets two plans built from the
     /// same base seed — e.g. a controller-level and a trace-level plan —
@@ -93,7 +91,7 @@ impl FaultConfig {
 }
 
 /// Counters for faults actually injected by one plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InjectedFaults {
     /// DRAM lines corrupted.
     pub corruptions: u64,

@@ -26,10 +26,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -72,7 +70,7 @@ impl fmt::Display for Counter {
 ///
 /// Supports linear bins (for e.g. per-level data) and power-of-two bins (for
 /// latency distributions). Out-of-range samples land in saturating edge bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: u64,
     hi: u64,
@@ -198,7 +196,7 @@ impl Histogram {
 }
 
 /// Welford-style running mean / variance over `f64` samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStat {
     n: u64,
     mean: f64,
@@ -269,7 +267,7 @@ impl RunningStat {
 /// Components register counters under dotted names
 /// (`"oram.paths.dummy"`, `"dram.row_hits"`); the experiment harness
 /// snapshots the registry into its output records.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsRegistry {
     counters: BTreeMap<String, u64>,
 }

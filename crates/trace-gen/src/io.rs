@@ -16,12 +16,11 @@
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::TraceRecord;
 
 const MAGIC: &[u8; 4] = b"IRTR";
 const VERSION: u32 = 1;
+const HEADER_BYTES: usize = 16;
 const RECORD_BYTES: usize = 13;
 
 /// A malformed or unreadable IRTR trace file.
@@ -121,14 +120,14 @@ impl From<TraceError> for io::Error {
 ///
 /// Propagates any IO error from `writer`.
 pub fn write_trace<W: Write>(mut writer: W, records: &[TraceRecord]) -> io::Result<()> {
-    let mut buf = BytesMut::with_capacity(16 + records.len() * RECORD_BYTES);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(records.len() as u64);
+    let mut buf = Vec::with_capacity(HEADER_BYTES + records.len() * RECORD_BYTES);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(records.len() as u64).to_le_bytes());
     for r in records {
-        buf.put_u64_le(r.addr);
-        buf.put_u8(u8::from(r.is_write));
-        buf.put_u32_le(r.gap);
+        buf.extend_from_slice(&r.addr.to_le_bytes());
+        buf.push(u8::from(r.is_write));
+        buf.extend_from_slice(&r.gap.to_le_bytes());
     }
     writer.write_all(&buf)
 }
@@ -143,23 +142,21 @@ pub fn write_trace<W: Write>(mut writer: W, records: &[TraceRecord]) -> io::Resu
 pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError> {
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let mut buf = Bytes::from(raw);
-    if buf.remaining() < 16 {
-        return Err(TraceError::TruncatedHeader {
-            len: buf.remaining(),
-        });
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
+    let Some((&header, body)) = raw.split_first_chunk::<HEADER_BYTES>() else {
+        return Err(TraceError::TruncatedHeader { len: raw.len() });
+    };
+    let [m0, m1, m2, m3, v0, v1, v2, v3, count @ ..] = header;
+    let magic = [m0, m1, m2, m3];
     if &magic != MAGIC {
         return Err(TraceError::BadMagic { found: magic });
     }
-    let version = buf.get_u32_le();
+    let version = u32::from_le_bytes([v0, v1, v2, v3]);
     if version != VERSION {
         return Err(TraceError::BadVersion { found: version });
     }
-    let count = buf.get_u64_le();
-    let have = buf.remaining() as u64 / RECORD_BYTES as u64;
+    let count = u64::from_le_bytes(count);
+    let (records, _) = body.as_chunks::<RECORD_BYTES>();
+    let have = records.len() as u64;
     if have < count {
         return Err(TraceError::TruncatedBody {
             record_index: have,
@@ -167,10 +164,7 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError
         });
     }
     let mut out = Vec::with_capacity(count as usize);
-    for record_index in 0..count {
-        let addr = buf.get_u64_le();
-        let flags = buf.get_u8();
-        let gap = buf.get_u32_le();
+    for (record_index, &[addr @ .., flags, g0, g1, g2, g3]) in (0..count).zip(records) {
         if flags & !1 != 0 {
             return Err(TraceError::BadFlags {
                 record_index,
@@ -178,9 +172,9 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Vec<TraceRecord>, TraceError
             });
         }
         out.push(TraceRecord {
-            addr,
+            addr: u64::from_le_bytes(addr),
             is_write: flags & 1 != 0,
-            gap,
+            gap: u32::from_le_bytes([g0, g1, g2, g3]),
         });
     }
     Ok(out)
@@ -281,5 +275,71 @@ mod tests {
             read_trace(&buf[..]).unwrap_err(),
             TraceError::TruncatedBody { .. }
         ));
+    }
+
+    /// The IRTR bytes are pinned literally: `write_trace` must keep
+    /// producing exactly this encoding, so traces captured by earlier
+    /// builds still replay.
+    #[test]
+    fn golden_bytes() {
+        let records = [
+            TraceRecord::load(0, 5),
+            TraceRecord::store(u64::MAX - 1, 0),
+            TraceRecord::load(42, u32::MAX),
+        ];
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &records).unwrap();
+        #[rustfmt::skip]
+        let golden: [u8; 16 + 3 * 13] = [
+            b'I', b'R', b'T', b'R', 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0,
+            0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0,
+            42, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff,
+        ];
+        assert_eq!(buf, golden);
+        assert_eq!(read_trace(&golden[..]).unwrap(), records);
+    }
+
+    /// Any byte string reads as `Ok` or a typed error, never a panic, and
+    /// every `Ok` re-encodes to exactly the bytes it consumed.
+    #[test]
+    fn arbitrary_bytes_never_panic_and_ok_reencodes() {
+        fn check(raw: &[u8]) {
+            if let Ok(records) = read_trace(raw) {
+                let mut again = Vec::new();
+                write_trace(&mut again, &records).unwrap();
+                assert_eq!(again[..], raw[..again.len()], "{raw:02x?}");
+            }
+        }
+        let mut rng = iroram_sim_engine::SimRng::seed_from(0x1e7e);
+        let records: Vec<TraceRecord> = (0..6)
+            .map(|_| TraceRecord {
+                addr: rng.next_u64(),
+                is_write: rng.chance(0.5),
+                gap: rng.next_u64() as u32,
+            })
+            .collect();
+        let mut valid = Vec::new();
+        write_trace(&mut valid, &records).unwrap();
+        for len in 0..=valid.len() {
+            check(&valid[..len]);
+        }
+        for _ in 0..4_000 {
+            // Half fully random strings, half a valid trace with a few
+            // bytes flipped (the only way past the magic and version).
+            let raw: Vec<u8> = if rng.chance(0.5) {
+                let len = rng.next_below(3 * valid.len() as u64) as usize;
+                (0..len).map(|_| rng.next_u64() as u8).collect()
+            } else {
+                let mut raw = valid.clone();
+                for _ in 0..=rng.next_below(3) {
+                    let at = rng.next_below(raw.len() as u64) as usize;
+                    raw[at] ^= 1 << rng.next_below(8);
+                }
+                raw.truncate(rng.gen_range(0..raw.len() as u64 + 1) as usize);
+                raw
+            };
+            check(&raw);
+        }
     }
 }

@@ -1,9 +1,16 @@
-//! Regression guard for the resume-journal fingerprint: two configurations
-//! differing in any single [`SystemConfig`] field must fingerprint
-//! differently, for **every** field. A field the fingerprint ignored would
-//! let `--resume` answer a cell from a run with different inputs — silent
-//! result corruption. (The config-drift pass of `iroram-lint` checks the
-//! same property lexically; this test checks it behaviorally.)
+//! Regression guard for the [`SystemConfig`] surface. For **every** field:
+//!
+//! * two configurations differing only in it fingerprint differently. A
+//!   field the fingerprint ignored would let `--resume` answer a cell from
+//!   a run with different inputs — silent result corruption. (The
+//!   exhaustive no-`..` destructure in `journal::fingerprint` already makes
+//!   an unhashed field a compile error; this checks it behaviorally.)
+//! * the `--set` override table names it: scalar fields are settable,
+//!   structured ones have an explicit not-settable arm.
+//! * DESIGN.md documents it in its `SystemConfig` table.
+//!
+//! `mutation_list_covers_every_field` keeps the field list exhaustive, so a
+//! new field fails to compile here until all three checks cover it.
 
 use ir_oram::{RunLimit, Scheme, SystemConfig};
 use iroram_sim_engine::ClockRatio;
@@ -98,6 +105,30 @@ fn mutation_list_covers_every_field() {
         checkpoint_interval: _,
     } = base();
     assert_eq!(single_field_mutations().len(), 23);
+}
+
+#[test]
+fn every_field_has_a_set_arm() {
+    for (field, _) in single_field_mutations() {
+        let value = if field == "scheme" { "IR-ORAM" } else { "1" };
+        if let Err(e) = base().set_field(field, value) {
+            assert!(
+                e.contains("structured"),
+                "SystemConfig::{field} has no `--set` arm (a settable or an explicit structured one): {e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_field_is_documented_in_design_md() {
+    let design = include_str!("../DESIGN.md");
+    for (field, _) in single_field_mutations() {
+        assert!(
+            design.contains(&format!("`{field}`")),
+            "SystemConfig::{field} is not documented in DESIGN.md (expected `{field}` in backticks)"
+        );
+    }
 }
 
 #[test]

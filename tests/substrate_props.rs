@@ -199,12 +199,12 @@ fn full_stack_determinism() {
     let a = Simulation::run_bench(&cfg, Bench::Mix, RunLimit::mem_ops(2_000));
     let b = Simulation::run_bench(&cfg, Bench::Mix, RunLimit::mem_ops(2_000));
     assert_eq!(
-        serde_json_like(&a),
-        serde_json_like(&b),
+        report_text(&a),
+        report_text(&b),
         "identical configs must give identical reports"
     );
 }
 
-fn serde_json_like(r: &ir_oram::SimReport) -> String {
+fn report_text(r: &ir_oram::SimReport) -> String {
     format!("{r:?}")
 }
